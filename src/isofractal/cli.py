@@ -65,17 +65,25 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _budget(text: str) -> int:
+    """A positive integer budget, as given to --budget or ISOFRACTAL_BUDGET."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _default_budget() -> int:
     env = os.environ.get("ISOFRACTAL_BUDGET")
     if env is None:
         return DEFAULT_BUDGET
     try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(f"ISOFRACTAL_BUDGET must be an integer, got {env!r}") from None
-    if value <= 0:
-        raise ValueError(f"ISOFRACTAL_BUDGET must be positive, got {value}")
-    return value
+        return _budget(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"ISOFRACTAL_BUDGET {exc}") from None
 
 
 def _cmd_fractal(args: argparse.Namespace) -> int:
@@ -277,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="use the unsigned coefficient matrix")
     points.add_argument("--oracle", action="store_true",
                         help="cross-check against the subspace enumeration")
-    points.add_argument("--budget", type=int, default=None,
+    points.add_argument("--budget", type=_budget, default=None,
                         help="enumeration budget (default ISOFRACTAL_BUDGET or "
                              f"{DEFAULT_BUDGET})")
     points.add_argument("--out", default=None, help="points file (default stdout)")
@@ -291,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=None, help="report JSON path (default stdout)")
     verify.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized consistency checks")
-    verify.add_argument("--budget", type=int, default=None)
+    verify.add_argument("--budget", type=_budget, default=None)
     verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -2,10 +2,10 @@
 
 Two independent routes produce the same point set:
 
-* ``rational_points``: solve the linear system, stream one representative per
-  projective class of its kernel, and keep those satisfying every quadratic
-  exchange relation (class-by-class filtering with early exit; the heavy
-  instances run the stream through numpy in blocks),
+* ``rational_points``: solve the linear system, pull every quadratic exchange
+  relation back to a quadratic form in the kernel coefficients, and search the
+  coefficients level by level, dropping a partial assignment as soon as a
+  reduced form whose variables are all set is nonzero,
 * ``oracle_points``: enumerate every k-dimensional subspace by its reduced
   echelon basis, keep the ones on which the symplectic pairing vanishes, and
   push them through the minor (wedge coordinate) map.
@@ -24,7 +24,8 @@ from itertools import combinations, product
 import numpy as np
 
 from .combinat import IndexTuple, index_tuples, rank
-from .gf import FieldVector, PrimeField, kernel_basis, normalize_projective
+from .gf import (FieldMatrix, FieldVector, PrimeField, kernel_basis,
+                 normalize_projective, projective_count, rref)
 from .plucker import SymplecticForm, plucker_matrix
 
 DEFAULT_BUDGET = 1 << 25
@@ -141,39 +142,44 @@ def subspace_count(m: int, k: int, q: int) -> int:
     return int(acc)
 
 
-def _compiled_relations(n: int, k: int):
-    """Relations as numpy index/sign arrays, cheapest first, empties dropped."""
-    compiled = []
-    for rel in quadratic_relations(n, k):
-        terms = _relation_terms(rel, n, k)
-        if terms:
-            compiled.append(terms)
-    compiled.sort(key=len)
-    arrays = []
-    for terms in compiled:
-        signs = np.array([t[0] for t in terms], dtype=np.int64)
-        i1 = np.array([t[1] for t in terms], dtype=np.int64)
-        i2 = np.array([t[2] for t in terms], dtype=np.int64)
-        arrays.append((signs, i1, i2))
-    return arrays
+def _monomials(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monomials c_a c_b (a <= b) as index arrays, by descending highest variable b."""
+    second, first = np.tril_indices(d)
+    return first[::-1], second[::-1]
 
 
-def rational_points(
-    n: int,
-    k: int,
-    q: int,
-    mode: str = "signed",
-    budget: int = DEFAULT_BUDGET,
-    chunk: int = 1 << 16,
-) -> PointSet:
+def _pullback_forms(relations: list[QuadraticRelation], basis: np.ndarray,
+                    n: int, k: int, q: int) -> np.ndarray:
+    """Row r: relation r at c @ basis as a form in c, one column per monomial.
+
+    With M = sum of sign * B[:, i1] B[:, i2]^T over the terms, u_aa = M_aa and
+    u_ab = M_ab + M_ba; nothing is halved, so every characteristic works.
+    """
+    first, second = _monomials(len(basis))
+    forms = np.zeros((len(relations), len(first)), dtype=np.int64)
+    for r, rel in enumerate(relations):
+        terms = _relation_terms(rel, n, k)  # never empty: |beta| = |alpha| + 2
+        signs, i1, i2 = (np.array(col, dtype=np.int64) for col in zip(*terms))
+        m = (basis[:, i1] * signs) @ basis[:, i2].T
+        upper = np.triu(m) + np.tril(m, -1).T
+        forms[r] = upper[first, second]
+    return forms % q
+
+
+def rational_points(n: int, k: int, q: int, mode: str = "signed",
+                    budget: int = DEFAULT_BUDGET) -> PointSet:
     """Kernel representatives surviving every quadratic relation.
 
-    The kernel of the chosen coefficient matrix over GF(q) is enumerated one
-    projective class at a time (leading coefficient fixed to 1, trailing
-    coefficients counted most-significant first, identical to the library
-    streaming order) and filtered through the relations with early exit.
-    Termination is by exhaustion of the kernel.  Raises
-    :class:`BudgetExceededError` when q**dim(kernel) exceeds the budget.
+    The relations, pulled back to forms in the d kernel coefficients, are
+    reduced to an echelon basis whose forms are each keyed to the first level
+    (coefficient) that sets all their variables.  For each leading position
+    (fixed to 1) a frontier of partial coefficient vectors is extended by the q
+    values of each next coefficient, dropping rows where a form keyed to that
+    level is nonzero.  ``examined`` counts the projective classes decided.
+
+    Raises :class:`BudgetExceededError` when q**d exceeds the budget, and
+    ``ValueError`` unless d*d*(q - 1)**3 < 2**63, since the largest int64
+    intermediate, a form on the frontier, sums d*d products below q**3.
     """
     if mode not in ("signed", "unsigned"):
         raise ValueError(f"mode must be 'signed' or 'unsigned', got {mode!r}")
@@ -183,44 +189,36 @@ def rational_points(
     pm = plucker_matrix(n, k, signed=(mode == "signed"))
     basis = kernel_basis(pm.field_matrix(field))
     d = len(basis)
+    if d * d * (q - 1) ** 3 >= 2**63:
+        raise ValueError(f"q={q} with kernel dimension d={d} overflows int64: "
+                         "need d*d*(q-1)**3 < 2**63")
     if q**d > budget:
-        raise BudgetExceededError(
-            required=q**d,
-            budget=budget,
-            what=f"kernel enumeration for (n={n}, k={k}, q={q})",
-        )
-    relations = _compiled_relations(n, k)
-    ncoords = math.comb(2 * n, k)
-    basis_arr = (
-        np.array(basis, dtype=np.int64)
-        if d
-        else np.zeros((0, ncoords), dtype=np.int64)
-    )
+        raise BudgetExceededError(required=q**d, budget=budget,
+                                  what=f"kernel enumeration for (n={n}, k={k}, q={q})")
+    basis_arr = np.array(basis, dtype=np.int64)  # d >= 1: C(2n, k) > C(2n, k - 2)
+    forms = _pullback_forms(quadratic_relations(n, k), basis_arr, n, k, q)
+    first, second = _monomials(d)
+    echelon = rref(FieldMatrix(field, forms[forms.any(axis=1)].tolist(), len(first)))
+    rows = np.array(echelon.matrix.entries[: echelon.rank], dtype=np.int64)
+    upper = np.zeros((echelon.rank, d, d), dtype=np.int64)
+    upper[:, first, second] = rows.reshape(echelon.rank, len(first))
+    keys = second[list(echelon.pivots)]
 
     points: set[FieldVector] = set()
-    examined = 0
     for lead in range(d):
-        tail = d - 1 - lead
-        block = q**tail
-        for lo in range(0, block, chunk):
-            hi = min(block, lo + chunk)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            coeffs = np.zeros((hi - lo, d), dtype=np.int64)
-            coeffs[:, lead] = 1
-            for pos in range(tail):
-                power = q ** (tail - 1 - pos)
-                coeffs[:, lead + 1 + pos] = (idx // power) % q
-            vectors = (coeffs @ basis_arr) % q
-            examined += len(vectors)
-            alive = vectors
-            for signs, i1, i2 in relations:
-                if not len(alive):
-                    break
-                values = (alive[:, i1] * alive[:, i2] * signs).sum(axis=1) % q
-                alive = alive[values == 0]
-            for row in alive:
-                points.add(normalize_projective([int(v) for v in row], field))
-    return PointSet(n=n, k=k, q=q, points=frozenset(points), examined=examined)
+        frontier = np.zeros((1, lead + 1), dtype=np.int64)
+        frontier[0, lead] = 1
+        for level in range(lead, d):
+            if level > lead:
+                frontier = np.column_stack([np.repeat(frontier, q, axis=0),
+                                            np.tile(np.arange(q), len(frontier))])
+            level_forms = upper[keys == level, : level + 1, : level + 1]
+            values = np.einsum("ra,fab,rb->rf", frontier, level_forms, frontier) % q
+            frontier = frontier[~values.any(axis=1)]
+        for row in (frontier @ basis_arr) % q:
+            points.add(normalize_projective([int(v) for v in row], field))
+    return PointSet(n=n, k=k, q=q, points=frozenset(points),
+                    examined=projective_count(d, q))
 
 
 def _det_mod(rows: list[list[int]], field: PrimeField) -> int:

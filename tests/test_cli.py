@@ -142,6 +142,23 @@ class TestPointsCommand:
         err = capsys.readouterr().err
         assert "refused" in err and "16384" in err
 
+    @pytest.mark.parametrize("command", [
+        ["points", "--n", "2", "--k", "2", "--q", "2"],
+        ["verify", "--suite", "points"],
+    ])
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_non_positive_budget_is_usage_error(self, command, budget, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(command + ["--budget", budget])
+        assert err.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
+    def test_int64_limit_is_usage_error(self, capsys):
+        code = main(["points", "--n", "2", "--k", "2", "--q", str(2**31 - 1),
+                     "--budget", str((2**31 - 1) ** 5)])
+        assert code == 2
+        assert "2**63" in capsys.readouterr().err
+
     def test_env_budget_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ISOFRACTAL_BUDGET", "100")
         code = main(["points", "--n", "3", "--k", "3", "--q", "2",

@@ -1,13 +1,17 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from isofractal.combinat import index_tuples
-from isofractal.gf import PrimeField
+from isofractal.gf import PrimeField, kernel_basis
 from isofractal.plucker import plucker_matrix
 from isofractal.variety import (
     BudgetExceededError,
     QuadraticRelation,
+    _monomials,
+    _pullback_forms,
     evaluate_relation,
     expected_count,
     oracle_points,
@@ -68,6 +72,26 @@ class TestEvaluateRelation:
         rel = QuadraticRelation((1,), (2, 3, 4))
         with pytest.raises(ValueError):
             evaluate_relation(rel, [0, 1], 2, 2, PrimeField(2))
+
+
+class TestPullbackForms:
+    @pytest.mark.parametrize("n,k,q", [(2, 2, 3), (3, 2, 2), (3, 3, 3)])
+    def test_forms_agree_with_raw_relations(self, n, k, q):
+        field = PrimeField(q)
+        basis = np.array(
+            kernel_basis(plucker_matrix(n, k, signed=True).field_matrix(field)),
+            dtype=np.int64,
+        )
+        rels = quadratic_relations(n, k)
+        forms = _pullback_forms(rels, basis, n, k, q)
+        first, second = _monomials(len(basis))
+        rng = random.Random(2303)
+        for _ in range(200):
+            c = np.array([rng.randrange(q) for _ in range(len(basis))], dtype=np.int64)
+            pulled = forms @ (c[first] * c[second]) % q
+            w = [int(v) for v in c @ basis % q]
+            raw = [evaluate_relation(rel, w, n, k, field) for rel in rels]
+            assert pulled.tolist() == raw
 
 
 class TestExpectedCount:
@@ -133,6 +157,22 @@ class TestRationalPoints:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             rational_points(2, 2, 2, mode="both")
+
+    def test_int64_limit_refused_before_enumeration(self):
+        q = 2**31 - 1
+        with pytest.raises(ValueError, match=r"2\*\*63") as err:
+            rational_points(2, 2, q, budget=q**5)
+        assert not isinstance(err.value, BudgetExceededError)
+
+    @pytest.mark.slow
+    def test_instance_beyond_default_budget(self):
+        with pytest.raises(BudgetExceededError):
+            rational_points(4, 2, 2)
+        found = rational_points(4, 2, 2, budget=1 << 27)
+        oracle = oracle_points(4, 2, 2, budget=1 << 27)
+        assert found.count == expected_count(4, 2, 2) == 5355
+        assert oracle.examined == 10795
+        assert found.points == oracle.points
 
 
 class TestOraclePoints:
