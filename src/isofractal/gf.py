@@ -4,14 +4,30 @@ Reduced row echelon form with deterministic pivoting (first nonzero entry,
 columns scanned left to right), rank, nullspace bases, and exactly-once
 streaming of projective representatives of a spanned subspace.
 
-GF(2) matrices take a bit-packed path: each row is one Python int, so a row
-update is a single arbitrary-width XOR.  Other primes use plain residue rows.
+Matrices are stored row-sparse: each row is its nonzero ``(column, residue)``
+pairs in ascending column order, so the contraction system, whose rows hold
+at most n entries, is built and eliminated in memory proportional to its
+nonzeros.  The dense ``entries`` view is built only when read.
+
+Elimination works component by component.  One union-find pass splits the
+bipartite graph of rows and columns into connected components; zero rows and
+zero columns take no part.  Each component is eliminated as a small dense
+block: bit-packed rows over GF(2), where a row update is one XOR, and residue
+rows otherwise.  The result equals whole-matrix elimination.  Columns of
+different components have disjoint row supports, so a column is independent
+of the earlier columns exactly when it is independent of the earlier columns
+of its own component: the pivots agree.  The reduced row echelon form is
+unique, so the components' reduced rows, ordered by pivot column and followed
+by the zero rows, are the reduced form of the whole matrix.  For the
+contraction system the components are the family members of its direct-sum
+decomposition, and the kernel is the direct sum of their kernels plus unit
+vectors at the zero columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -41,44 +57,80 @@ class PrimeField:
 
 
 FieldVector = tuple[int, ...]
+SparseRow = tuple[tuple[int, int], ...]
 
 
 class FieldMatrix:
-    """An immutable matrix of residues over a prime field."""
+    """An immutable matrix of residues over a prime field, stored row-sparse.
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    ``nonzeros[i]`` holds row i as ``(column, residue)`` pairs in ascending
+    column order.  ``entries``, the dense rows as a tuple of tuples, is built
+    on first read and then kept.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "nonzeros", "_entries")
 
     def __init__(self, field: PrimeField, rows: Sequence[Sequence[int]], ncols: int | None = None):
-        self.field = field
-        reduced = tuple(tuple(v % field.p for v in row) for row in rows)
+        """Build from dense rows; every row must have ``ncols`` entries."""
         if ncols is None:
-            ncols = len(reduced[0]) if reduced else 0
-        for i, row in enumerate(reduced):
+            ncols = len(rows[0]) if len(rows) else 0
+        for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
-        self.entries = reduced
-        self.nrows = len(reduced)
+        p = field.p
+        nonzeros = [tuple((j, r) for j, v in enumerate(row) if (r := v % p)) for row in rows]
+        self._assign(field, nonzeros, ncols)
+
+    @classmethod
+    def from_nonzeros(
+        cls, field: PrimeField, rows: Sequence[Iterable[tuple[int, int]]], ncols: int
+    ) -> FieldMatrix:
+        """Build from each row's ``(column, value)`` pairs, in any order."""
+        p = field.p
+        nonzeros = []
+        for i, row in enumerate(rows):
+            pairs = sorted(row)
+            cols = {j for j, _ in pairs}
+            if pairs and (pairs[0][0] < 0 or pairs[-1][0] >= ncols or len(cols) < len(pairs)):
+                raise ValueError(f"row {i} has a column outside [0, {ncols}) or a repeated column")
+            nonzeros.append(tuple((j, r) for j, v in pairs if (r := v % p)))
+        m = cls.__new__(cls)
+        m._assign(field, nonzeros, ncols)
+        return m
+
+    def _assign(self, field: PrimeField, nonzeros: list[SparseRow], ncols: int) -> None:
+        self.field = field
+        self.nonzeros = tuple(nonzeros)
+        self.nrows = len(nonzeros)
         self.ncols = ncols
+        self._entries = None
+
+    @property
+    def entries(self) -> tuple[FieldVector, ...]:
+        """The dense rows, residues in [0, p)."""
+        if self._entries is None:
+            dense = []
+            for row in self.nonzeros:
+                values = [0] * self.ncols
+                for j, v in row:
+                    values[j] = v
+                dense.append(tuple(values))
+            self._entries = tuple(dense)
+        return self._entries
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FieldMatrix)
             and self.field == other.field
-            and self.entries == other.entries
+            and self.nonzeros == other.nonzeros
             and self.ncols == other.ncols
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.entries, self.ncols))
+        return hash((self.field, self.nonzeros, self.ncols))
 
     def __repr__(self) -> str:
         return f"FieldMatrix(GF({self.field.p}), {self.nrows}x{self.ncols})"
-
-    def mul_vector(self, v: Sequence[int]) -> FieldVector:
-        if len(v) != self.ncols:
-            raise ValueError(f"vector length {len(v)} != {self.ncols} columns")
-        p = self.field.p
-        return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.entries)
 
 
 @dataclass(frozen=True)
@@ -89,17 +141,63 @@ class EchelonResult:
 
 
 def rref(m: FieldMatrix) -> EchelonResult:
-    """Reduced row echelon form, rank, and pivot columns."""
-    if m.field.p == 2:
-        return _rref_gf2(m)
-    return _rref_generic(m)
+    """Reduced row echelon form, rank, and pivot columns.
+
+    Each connected component of the row/column graph is eliminated as its own
+    dense block; see the module docstring for why the assembled result equals
+    whole-matrix elimination.
+    """
+    reduced: list[tuple[int, list[tuple[int, int]]]] = []
+    for block_rows in _components(m.nonzeros, m.ncols):
+        cols = sorted({j for i in block_rows for j, _ in m.nonzeros[i]})
+        local = {j: c for c, j in enumerate(cols)}
+        block = [[0] * len(cols) for _ in block_rows]
+        for dense, i in zip(block, block_rows):
+            for j, v in m.nonzeros[i]:
+                dense[local[j]] = v
+        if m.field.p == 2:
+            rows, pivots = _rref_gf2(block, len(cols))
+        else:
+            rows, pivots = _rref_generic(block, len(cols), m.field)
+        for c, row in zip(pivots, rows):
+            reduced.append((cols[c], [(cols[j], v) for j, v in enumerate(row) if v]))
+    reduced.sort(key=lambda pivot_row: pivot_row[0])
+    pivots = tuple(c for c, _ in reduced)
+    rows = [row for _, row in reduced] + [[]] * (m.nrows - len(reduced))
+    return EchelonResult(FieldMatrix.from_nonzeros(m.field, rows, m.ncols), len(pivots), pivots)
 
 
-def _rref_gf2(m: FieldMatrix) -> EchelonResult:
-    packed = [sum(1 << j for j, v in enumerate(row) if v) for row in m.entries]
+def _components(rows: Sequence[SparseRow], ncols: int) -> list[list[int]]:
+    """Row indices of each connected component of the row/column graph.
+
+    Zero rows belong to no component.
+    """
+    parent = list(range(ncols))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in rows:
+        if row:
+            root = find(row[0][0])
+            for j, _ in row[1:]:
+                parent[find(j)] = root
+    groups: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        if row:
+            groups.setdefault(find(row[0][0]), []).append(i)
+    return list(groups.values())
+
+
+def _rref_gf2(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan over GF(2) on dense rows; returns the nonzero reduced rows and pivots."""
+    packed = [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
     pivots: list[int] = []
     r = 0
-    for c in range(m.ncols):
+    for c in range(ncols):
         if r == len(packed):
             break
         mask = 1 << c
@@ -113,23 +211,24 @@ def _rref_gf2(m: FieldMatrix) -> EchelonResult:
                 packed[i] ^= row
         pivots.append(c)
         r += 1
-    rows = [[(word >> j) & 1 for j in range(m.ncols)] for word in packed]
-    return EchelonResult(FieldMatrix(m.field, rows, m.ncols), len(pivots), tuple(pivots))
+    return [[(word >> j) & 1 for j in range(ncols)] for word in packed[:r]], pivots
 
 
-def _rref_generic(m: FieldMatrix) -> EchelonResult:
-    p = m.field.p
-    rows = [list(row) for row in m.entries]
+def _rref_generic(
+    rows: list[list[int]], ncols: int, field: PrimeField
+) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan over GF(p) on dense rows; returns the nonzero reduced rows and pivots."""
+    p = field.p
     pivots: list[int] = []
     r = 0
-    for c in range(m.ncols):
+    for c in range(ncols):
         if r == len(rows):
             break
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = m.field.inv(rows[r][c])
+        inv = field.inv(rows[r][c])
         if inv != 1:
             rows[r] = [(v * inv) % p for v in rows[r]]
         for i in range(len(rows)):
@@ -138,27 +237,34 @@ def _rref_generic(m: FieldMatrix) -> EchelonResult:
                 rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return EchelonResult(FieldMatrix(m.field, rows, m.ncols), len(pivots), tuple(pivots))
+    return rows[:r], pivots
 
 
 def kernel_basis(m: FieldMatrix) -> list[FieldVector]:
     """A deterministic basis of the right nullspace, one vector per free column.
 
     Free columns are taken in ascending order; each basis vector has a 1 at
-    its free column and back-substituted pivot entries elsewhere.
+    its free column and back-substituted pivot entries elsewhere.  A reduced
+    pivot row is nonzero only inside its own component, so a free column
+    takes entries from its component's pivots alone, and a zero column gives
+    a unit vector.
     """
     result = rref(m)
     p = m.field.p
     pivot_set = set(result.pivots)
-    reduced = result.matrix.entries
+    back: dict[int, list[tuple[int, int]]] = {}
+    for pivot, row in zip(result.pivots, result.matrix.nonzeros):
+        for j, v in row:
+            if j != pivot:
+                back.setdefault(j, []).append((pivot, p - v))
     basis: list[FieldVector] = []
     for free in range(m.ncols):
         if free in pivot_set:
             continue
         v = [0] * m.ncols
         v[free] = 1
-        for i, pc in enumerate(result.pivots):
-            v[pc] = (-reduced[i][free]) % p
+        for pivot, value in back.get(free, ()):
+            v[pivot] = value
         basis.append(tuple(v))
     return basis
 

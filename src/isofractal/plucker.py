@@ -94,10 +94,10 @@ class PluckerMatrix:
         return self.signs[(i, j)] if self.signed else 1
 
     def field_matrix(self, field: PrimeField) -> FieldMatrix:
-        rows = [[0] * self.support.cols for _ in range(self.support.rows)]
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.support.rows)]
         for (i, j), sign in self.signs.items():
-            rows[i][j] = (sign if self.signed else 1) % field.p
-        return FieldMatrix(field, rows, self.support.cols)
+            rows[i].append((j, sign if self.signed else 1))
+        return FieldMatrix.from_nonzeros(field, rows, self.support.cols)
 
     def apply(self, w: list[int] | FieldVector, field: PrimeField) -> FieldVector:
         """Sparse matrix-vector product over GF(p)."""

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from isofractal.fractal import fractal_matrix
 from isofractal.gf import (
     FieldMatrix,
     PrimeField,
@@ -36,6 +37,64 @@ def naive_rref(field, rows, ncols):
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def naive_kernel(field, rows, ncols):
+    """Kernel back-substituted from ``naive_rref``, one vector per free column."""
+    reduced, pivots = naive_rref(field, rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [0] * ncols
+        v[free] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = (-reduced[i][free]) % field.p
+        basis.append(tuple(v))
+    return basis
+
+
+def random_block_sum(rng, p):
+    """Dense rows of a shuffled direct sum of random blocks, plus zero rows and columns."""
+    shapes = [(rng.randint(1, 5), rng.randint(1, 6)) for _ in range(rng.randint(1, 5))]
+    nrows = sum(r for r, _ in shapes) + rng.randint(0, 3)
+    ncols = sum(c for _, c in shapes) + rng.randint(0, 3)
+    row_at = rng.sample(range(nrows), nrows)
+    col_at = rng.sample(range(ncols), ncols)
+    rows = [[0] * ncols for _ in range(nrows)]
+    r0 = c0 = 0
+    for br, bc in shapes:
+        for i in range(br):
+            for j in range(bc):
+                rows[row_at[r0 + i]][col_at[c0 + j]] = rng.randrange(p)
+        r0 += br
+        c0 += bc
+    return rows, ncols
+
+
+def signed_components(pm):
+    """Row and column index lists of each connected component of the system's support."""
+    by_row, by_col = {}, {}
+    for i, j in pm.signs:
+        by_row.setdefault(i, []).append(j)
+        by_col.setdefault(j, []).append(i)
+    seen, components = set(), []
+    for start in by_row:
+        if start in seen:
+            continue
+        seen.add(start)
+        rows, cols, stack = [start], set(), [start]
+        while stack:
+            for j in by_row[stack.pop()]:
+                if j not in cols:
+                    cols.add(j)
+                    for i in by_col[j]:
+                        if i not in seen:
+                            seen.add(i)
+                            rows.append(i)
+                            stack.append(i)
+        components.append((sorted(rows), sorted(cols)))
+    return components
 
 
 class TestPrimeField:
@@ -97,6 +156,109 @@ class TestRref:
                 assert list(result.pivots) == oracle_pivots
 
 
+class TestBlockwiseElimination:
+    """rref and kernel_basis eliminate per component; compare with whole-matrix naive_rref."""
+
+    def check(self, f, rows, ncols):
+        m = FieldMatrix(f, rows, ncols)
+        result = rref(m)
+        oracle_rows, oracle_pivots = naive_rref(f, rows, ncols)
+        assert [list(r) for r in result.matrix.entries] == oracle_rows
+        assert list(result.pivots) == oracle_pivots
+        assert result.rank == len(oracle_pivots)
+        assert kernel_basis(m) == naive_kernel(f, rows, ncols)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_shuffled_direct_sums(self, p):
+        rng = random.Random(100 + p)
+        f = PrimeField(p)
+        for _ in range(40):
+            self.check(f, *random_block_sum(rng, p))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_one_dense_component(self, p):
+        rng = random.Random(200 + p)
+        f = PrimeField(p)
+        rows = [[rng.randrange(1, p) for _ in range(21)] for _ in range(12)]
+        self.check(f, rows, 21)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_no_rows(self, p):
+        f = PrimeField(p)
+        self.check(f, [], 4)
+        result = rref(FieldMatrix(f, [], 4))
+        assert result.matrix.nrows == 0 and result.matrix.ncols == 4
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_all_zero(self, p):
+        self.check(PrimeField(p), [[0] * 5 for _ in range(3)], 5)
+
+
+class TestSparseStorage:
+    @pytest.mark.parametrize("n,k", [(3, 3), (5, 4)])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_field_matrix_matches_dense_rows(self, n, k, p):
+        f = PrimeField(p)
+        pm = plucker_matrix(n, k, signed=True)
+        dense = [[0] * pm.support.cols for _ in range(pm.support.rows)]
+        for (i, j), sign in pm.signs.items():
+            dense[i][j] = sign
+        sparse = pm.field_matrix(f)
+        built = FieldMatrix(f, dense, pm.support.cols)
+        assert sparse == built
+        assert hash(sparse) == hash(built)
+        negative = [ij for ij, sign in pm.signs.items() if sign == -1]
+        assert negative
+        for i, j in negative:
+            assert sparse.entries[i][j] == p - 1
+
+    def test_ragged_row_rejected(self):
+        with pytest.raises(ValueError):
+            FieldMatrix(PrimeField(3), [[1, 0, 2], [1, 0]])
+
+    def test_bad_nonzero_columns_rejected(self):
+        f = PrimeField(3)
+        for row in ([(3, 1)], [(-1, 1)], [(0, 1), (0, 2)]):
+            with pytest.raises(ValueError):
+                FieldMatrix.from_nonzeros(f, [row], 3)
+
+
+class TestKernelDimensions:
+    """Dimensions of the signed system's kernel at sizes beyond whole-matrix elimination."""
+
+    def test_six_six(self):
+        pm = plucker_matrix(6, 6, signed=True)
+        assert len(kernel_basis(pm.field_matrix(PrimeField(2)))) == 494
+        assert len(kernel_basis(pm.field_matrix(PrimeField(3)))) == 430
+
+    def test_eight_eight_gf2_matches_census(self):
+        pm = plucker_matrix(8, 8, signed=True)
+        m = pm.field_matrix(PrimeField(2))
+        assert m.ncols - rref(m).rank == 6563
+        # 256 pair-free zero columns plus each census block's own kernel
+        census = {(2, 1): 1792, (3, 2): 1120, (4, 3): 112, (5, 4): 1}
+        f2 = PrimeField(2)
+        dims = 256
+        for (a, b), count in census.items():
+            block = fractal_matrix(a, b)
+            dims += count * (block.cols - rref(FieldMatrix(f2, block.dense(), block.cols)).rank)
+        assert dims == 6563
+
+    def test_eight_eight_gf3_per_component(self):
+        f = PrimeField(3)
+        pm = plucker_matrix(8, 8, signed=True)
+        m = pm.field_matrix(f)
+        rank = 0
+        for rows, cols in signed_components(pm):
+            block = [[0] * len(cols) for _ in rows]
+            for r, i in enumerate(rows):
+                for c, j in enumerate(cols):
+                    block[r][c] = pm.signs.get((i, j), 0) % 3
+            rank += len(naive_rref(f, block, len(cols))[1])
+        assert rref(m).rank == rank
+        assert m.ncols - rank == 4981
+
+
 class TestKernelBasis:
     def test_single_relation(self):
         f = PrimeField(2)
@@ -129,7 +291,7 @@ class TestKernelBasis:
             basis = kernel_basis(m)
             assert len(basis) == 8 - rref(m).rank
             for v in basis:
-                assert m.mul_vector(v) == (0,) * 5
+                assert [sum(a * b for a, b in zip(row, v)) % p for row in m.entries] == [0] * 5
             # independence: stacking the basis loses no rank
             if basis:
                 assert rref(FieldMatrix(f, basis)).rank == len(basis)
