@@ -16,31 +16,25 @@ from .bitmatrix import (
 from .combinat import (
     Cell,
     IndexTuple,
-    PairSet,
     RowPartition,
     index_tuples,
     insert_pair_with_sign,
     pair_free_part,
     rank,
     row_partition,
-    unrank,
 )
 from .fractal import FractalParams, fractal_matrix, fractal_matrix_blockwise, verify_fractal
 from .gf import (
     EchelonResult,
     FieldMatrix,
     PrimeField,
-    enumerate_projective,
     kernel_basis,
     normalize_projective,
     projective_count,
     rref,
 )
 from .incidence import (
-    Configuration,
-    configuration,
     incidence_matrix,
-    incidence_row,
     triangle_row_order,
     verify_configuration,
     verify_incidence_fractal_match,

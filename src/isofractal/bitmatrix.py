@@ -3,7 +3,7 @@
 A :class:`BinaryMatrix` is an immutable coordinate set with explicit
 dimensions.  The matrices handled here are very sparse (a few ones per row),
 so the coordinate representation with cached row/column adjacency beats dense
-storage; dense rows are materialized only on demand.
+storage; dense rows are materialized only for the ascii text form.
 
 Besides the value type this module provides:
 
@@ -11,6 +11,8 @@ Besides the value type this module provides:
   recursive matrix family is assembled from,
 * ``direct_sum`` and ``bipartite_components``: block-diagonal assembly and its
   inverse (connected components of the row/column incidence graph),
+* ``row_components``: the union-find behind ``bipartite_components``, over
+  each row's column indices, which ``gf.rref`` shares,
 * ``permutation_equivalent``: an exact search for row/column permutations
   carrying one matrix onto another, witness included,
 * text serialization in MatrixMarket coordinate, alist, and plain ascii form.
@@ -18,7 +20,7 @@ Besides the value type this module provides:
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -113,12 +115,6 @@ class BinaryMatrix:
             return 0.0
         return len(self.ones) / (self.rows * self.cols)
 
-    def dense(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for r, c in self.ones:
-            out[r][c] = 1
-        return out
-
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> BinaryMatrix:
         """Induced submatrix; index order gives the new row/column order."""
         rmap = {r: i for i, r in enumerate(row_indices)}
@@ -161,15 +157,6 @@ class PermutationPair:
             m.cols,
             frozenset((self.row_perm[r], self.col_perm[c]) for r, c in m.ones),
         )
-
-    def inverse(self) -> PermutationPair:
-        rp = [0] * len(self.row_perm)
-        cp = [0] * len(self.col_perm)
-        for i, v in enumerate(self.row_perm):
-            rp[v] = i
-        for i, v in enumerate(self.col_perm):
-            cp[v] = i
-        return PermutationPair(tuple(rp), tuple(cp))
 
 
 def stack_identity_below(m: BinaryMatrix) -> BinaryMatrix:
@@ -217,6 +204,34 @@ def direct_sum(parts: Sequence[BinaryMatrix]) -> BinaryMatrix:
     return BinaryMatrix(row_off, col_off, frozenset(coords))
 
 
+def row_components(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Row indices of each connected component of the row/column graph.
+
+    ``rows[i]`` lists the column indices of row i, each in ``range(ncols)``.
+    One union-find pass over the columns joins the columns of every row.
+    Components are ordered by their smallest row, rows ascending within each;
+    zero rows belong to no component.
+    """
+    parent = list(range(ncols))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in rows:
+        if row:
+            root = find(row[0])
+            for j in row[1:]:
+                parent[find(j)] = root
+    groups: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        if row:
+            groups.setdefault(find(row[0]), []).append(i)
+    return list(groups.values())
+
+
 def bipartite_components(
     m: BinaryMatrix,
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], tuple[int, ...], tuple[int, ...]]:
@@ -229,28 +244,10 @@ def bipartite_components(
     """
     zero_rows = tuple(r for r in range(m.rows) if not m.row_support(r))
     zero_cols = tuple(c for c in range(m.cols) if not m.col_support(c))
-    seen_rows: set[int] = set()
-    components = []
-    for start in range(m.rows):
-        if start in seen_rows or not m.row_support(start):
-            continue
-        comp_rows = {start}
-        comp_cols: set[int] = set()
-        queue: deque[tuple[str, int]] = deque([("r", start)])
-        while queue:
-            kind, idx = queue.popleft()
-            if kind == "r":
-                for c in m.row_support(idx):
-                    if c not in comp_cols:
-                        comp_cols.add(c)
-                        queue.append(("c", c))
-            else:
-                for r in m.col_support(idx):
-                    if r not in comp_rows:
-                        comp_rows.add(r)
-                        queue.append(("r", r))
-        seen_rows |= comp_rows
-        components.append((tuple(sorted(comp_rows)), tuple(sorted(comp_cols))))
+    components = [
+        (tuple(rows), tuple(sorted({c for r in rows for c in m.row_support(r)})))
+        for rows in row_components(m._row_adj, m.cols)
+    ]
     return components, zero_rows, zero_cols
 
 

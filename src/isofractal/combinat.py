@@ -7,10 +7,11 @@ equal.  These tuples index matrix rows, matrix columns, and wedge coordinates
 throughout the package, always in lexicographic order so that ranks are stable
 across runs.
 
-On top of the raw tuples this module provides the pair set of a symplectic
-basis (the n index pairs (i, 2n+1-i) of [2n]), insertion of a whole pair into
-a tuple together with the wedge reordering sign, and the partition of tuples
-by the pair-free part of their support.
+On top of the raw tuples this module provides the lexicographic rank of a
+tuple, the pairing of a symplectic basis (``partner``: the n index pairs
+(i, 2n+1-i) partition [2n]), insertion of a whole pair into a tuple together
+with the wedge reordering sign, and the partition of tuples by the pair-free
+part of their support.
 """
 
 from __future__ import annotations
@@ -56,51 +57,11 @@ def rank(t: IndexTuple, m: int) -> int:
     return r
 
 
-def unrank(r: int, s: int, m: int) -> IndexTuple:
-    """Inverse of :func:`rank`: the tuple at lexicographic position ``r``."""
-    if s < 0 or s > m:
-        raise ValueError(f"need 0 <= s <= m, got s={s}, m={m}")
-    if not 0 <= r < math.comb(m, s):
-        raise ValueError(f"rank {r} outside [0, {math.comb(m, s)}) for s={s}, m={m}")
-    out: list[int] = []
-    prev = 0
-    for i in range(s):
-        v = prev + 1
-        while True:
-            block = math.comb(m - v, s - i - 1)
-            if r < block:
-                break
-            r -= block
-            v += 1
-        out.append(v)
-        prev = v
-    return tuple(out)
-
-
 def partner(e: int, n: int) -> int:
     """The index paired with ``e`` in [2n]: the one summing with it to 2n+1."""
     if not 1 <= e <= 2 * n:
         raise ValueError(f"index {e} outside [1, {2 * n}]")
     return 2 * n + 1 - e
-
-
-@dataclass(frozen=True)
-class PairSet:
-    """The n pairs (i, 2n+1-i) whose members partition [2n]."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, partner(i, self.n)) for i in range(1, self.n + 1))
-
-    def pair_index_of(self, e: int) -> int:
-        """The pair number containing index ``e``."""
-        return min(e, partner(e, self.n))
 
 
 def insert_pair_with_sign(
@@ -133,12 +94,6 @@ def pair_free_part(t: IndexTuple, n: int) -> IndexTuple:
     return tuple(e for e in t if partner(e, n) not in supp)
 
 
-def whole_pair_indices(t: IndexTuple, n: int) -> IndexTuple:
-    """Pair numbers i with both members of (i, 2n+1-i) inside ``t``."""
-    supp = set(t)
-    return tuple(i for i in range(1, n + 1) if i in supp and partner(i, n) in supp)
-
-
 @dataclass(frozen=True)
 class Cell:
     """One class of the pair-free-support partition: a label and its tuples."""
@@ -151,14 +106,7 @@ class Cell:
 class RowPartition:
     """Partition of I(k-2, 2n) by the pair-free part of each tuple's support."""
 
-    parity: str  # "even" or "odd", the parity of k
     cells: tuple[Cell, ...]
-
-    def cell_for(self, label: IndexTuple) -> Cell:
-        for cell in self.cells:
-            if cell.label == label:
-                return cell
-        raise KeyError(label)
 
 
 def row_partition(n: int, k: int) -> RowPartition:
@@ -176,6 +124,5 @@ def row_partition(n: int, k: int) -> RowPartition:
         cells.setdefault(pair_free_part(t, n), []).append(t)
     ordered = sorted(cells, key=lambda lab: (len(lab), lab))
     return RowPartition(
-        parity="even" if k % 2 == 0 else "odd",
         cells=tuple(Cell(label=lab, members=tuple(cells[lab])) for lab in ordered),
     )

@@ -36,13 +36,7 @@ class FractalParams:
     ell: int
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.ell < 1:
-            raise ValueError(f"need k >= 1 and ell >= 1, got k={self.k}, ell={self.ell}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = self.k + self.ell - 1
-        return math.comb(n, self.ell - 1), math.comb(n, self.ell)
+        _check_params(self.k, self.ell)
 
 
 def _check_params(k: int, ell: int) -> None:

@@ -1,19 +1,20 @@
 """Exact linear algebra over prime fields.
 
 Reduced row echelon form with deterministic pivoting (first nonzero entry,
-columns scanned left to right), rank, nullspace bases, and exactly-once
-streaming of projective representatives of a spanned subspace.
+columns scanned left to right), rank, nullspace bases, and the projective
+normalization of a vector (first nonzero coordinate scaled to 1).
 
 Matrices are stored row-sparse: each row is its nonzero ``(column, residue)``
 pairs in ascending column order, so the contraction system, whose rows hold
 at most n entries, is built and eliminated in memory proportional to its
 nonzeros.  The dense ``entries`` view is built only when read.
 
-Elimination works component by component.  One union-find pass splits the
-bipartite graph of rows and columns into connected components; zero rows and
-zero columns take no part.  Each component is eliminated as a small dense
-block: bit-packed rows over GF(2), where a row update is one XOR, and residue
-rows otherwise.  The result equals whole-matrix elimination.  Columns of
+Elimination works component by component.  ``bitmatrix.row_components``, the
+union-find that also splits the contraction system's support into blocks,
+splits the bipartite graph of rows and columns into connected components;
+zero rows and zero columns take no part.  Each component is eliminated as a
+small dense block: bit-packed rows over GF(2), where a row update is one XOR,
+and residue rows otherwise.  The result equals whole-matrix elimination.  Columns of
 different components have disjoint row supports, so a column is independent
 of the earlier columns exactly when it is independent of the earlier columns
 of its own component: the pivots agree.  The reduced row echelon form is
@@ -27,7 +28,9 @@ vectors at the zero columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
+
+from .bitmatrix import row_components
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
         return pow(a, self.p - 2, self.p)
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
 
 FieldVector = tuple[int, ...]
@@ -148,7 +148,7 @@ def rref(m: FieldMatrix) -> EchelonResult:
     whole-matrix elimination.
     """
     reduced: list[tuple[int, list[tuple[int, int]]]] = []
-    for block_rows in _components(m.nonzeros, m.ncols):
+    for block_rows in row_components([[j for j, _ in row] for row in m.nonzeros], m.ncols):
         cols = sorted({j for i in block_rows for j, _ in m.nonzeros[i]})
         local = {j: c for c, j in enumerate(cols)}
         block = [[0] * len(cols) for _ in block_rows]
@@ -165,31 +165,6 @@ def rref(m: FieldMatrix) -> EchelonResult:
     pivots = tuple(c for c, _ in reduced)
     rows = [row for _, row in reduced] + [[]] * (m.nrows - len(reduced))
     return EchelonResult(FieldMatrix.from_nonzeros(m.field, rows, m.ncols), len(pivots), pivots)
-
-
-def _components(rows: Sequence[SparseRow], ncols: int) -> list[list[int]]:
-    """Row indices of each connected component of the row/column graph.
-
-    Zero rows belong to no component.
-    """
-    parent = list(range(ncols))
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for row in rows:
-        if row:
-            root = find(row[0][0])
-            for j, _ in row[1:]:
-                parent[find(j)] = root
-    groups: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        if row:
-            groups.setdefault(find(row[0][0]), []).append(i)
-    return list(groups.values())
 
 
 def _rref_gf2(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -287,53 +262,3 @@ def normalize_projective(v: Sequence[int], field: PrimeField) -> FieldVector:
         return tuple(reduced)
     inv = field.inv(lead)
     return tuple((x * inv) % p for x in reduced)
-
-
-def enumerate_projective(
-    basis: Sequence[FieldVector],
-    field: PrimeField,
-    *,
-    start: int = 0,
-    stop: int | None = None,
-) -> Iterator[FieldVector]:
-    """Stream one normalized vector per projective class of the span.
-
-    Classes are indexed by coefficient tuples whose first nonzero entry is 1:
-    the leading position runs from 0 to d-1, and the trailing coefficients
-    count through GF(p)^t most-significant digit first.  ``start``/``stop``
-    slice that global order, so disjoint slices over several workers cover
-    every class exactly once.  Requires a linearly independent basis.
-    """
-    p = field.p
-    d = len(basis)
-    n = len(basis[0]) if d else 0
-    for vec in basis:
-        if len(vec) != n:
-            raise ValueError("basis vectors have mixed lengths")
-    total = projective_count(d, p)
-    stop = total if stop is None else min(stop, total)
-    if not 0 <= start <= total:
-        raise ValueError(f"start {start} outside [0, {total}]")
-
-    idx = start
-    while idx < stop:
-        # locate the leading-one block containing idx
-        lead = 0
-        offset = idx
-        while offset >= p ** (d - 1 - lead):
-            offset -= p ** (d - 1 - lead)
-            lead += 1
-        tail_len = d - 1 - lead
-        digits = []
-        rem = offset
-        for pos in range(tail_len):
-            power = p ** (tail_len - 1 - pos)
-            digits.append(rem // power)
-            rem %= power
-        v = list(basis[lead])
-        for pos, coeff in enumerate(digits):
-            if coeff:
-                bvec = basis[lead + 1 + pos]
-                v = [(a + coeff * b) % p for a, b in zip(v, bvec)]
-        yield normalize_projective(v, field)
-        idx += 1

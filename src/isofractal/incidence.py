@@ -1,11 +1,13 @@
-"""Incidence configurations over the symplectic pair set and their matrices.
+"""Incidence matrices of configurations over the symplectic pair set.
 
 For even k the configuration has ground set C(k/2 pairs of n) and one subset
-per (k-2)/2-tuple of pairs, namely all its one-pair extensions.  Its incidence
-matrix is therefore the containment matrix between (k/2 - 1)-subsets and
-(k/2)-subsets of the pair indices [n], rows and columns in lexicographic
-order.  Odd k is served by the same containment matrix at floor parameters,
-which is the form in which odd blocks occur inside the big linear system.
+per (k-2)/2-tuple of pairs, namely all its one-pair extensions.
+``incidence_matrix`` builds its incidence matrix as the containment matrix
+between (k/2 - 1)-subsets and (k/2)-subsets of the pair indices [n], rows and
+columns in lexicographic order; it is the one place the containment relation
+is computed.  Odd k is served by the same containment matrix at floor
+parameters, which is the form in which odd blocks occur inside the big linear
+system.
 
 The triangle enumeration orders the row labels by their length-(m-6)/2 prefix
 and then by the two trailing entries, which is the order in which the stepped
@@ -14,38 +16,9 @@ block structure of the matched recursive matrix reveals itself row by row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bitmatrix import BinaryMatrix, permutation_equivalent
-from .combinat import IndexTuple, index_tuples
+from .combinat import IndexTuple, index_tuples, rank
 from .fractal import fractal_matrix
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Ground tuples, and one labeled member set per row label (positions into ground)."""
-
-    n: int
-    k: int
-    ground: tuple[IndexTuple, ...]
-    subsets: tuple[tuple[IndexTuple, frozenset[int]], ...]
-
-
-def configuration(n: int, k: int) -> Configuration:
-    """The pair-tuple configuration for even k: each row label's supersets."""
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if k % 2:
-        raise ValueError(f"the direct configuration needs even k, got {k}")
-    ground = tuple(index_tuples(k // 2, n))
-    position = {g: i for i, g in enumerate(ground)}
-    subsets = []
-    for label in index_tuples((k - 2) // 2, n):
-        members = frozenset(
-            position[g] for g in ground if set(label) <= set(g)
-        )
-        subsets.append((label, members))
-    return Configuration(n=n, k=k, ground=ground, subsets=tuple(subsets))
 
 
 def incidence_matrix(n: int, k: int) -> BinaryMatrix:
@@ -53,7 +26,8 @@ def incidence_matrix(n: int, k: int) -> BinaryMatrix:
 
     Rows and columns are in lexicographic label order; the entry is 1 exactly
     when the row label's support is contained in the column label's support.
-    For even k this is the incidence matrix of :func:`configuration`.
+    For even k this is the incidence matrix of the pair-tuple configuration:
+    row i marks the one-pair extensions of the i-th (k-2)/2-tuple of pairs.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
@@ -140,37 +114,13 @@ def triangle_row_order(m: int) -> list[IndexTuple]:
     width = (m - 2) // 2
     prefix_len = width - 2
     out: list[IndexTuple] = []
-    seen: set[IndexTuple] = set()
     for prefix in index_tuples(prefix_len, m):
         last = prefix[-1] if prefix else 0
         if last > m - 2:  # no room left for the two trailing entries
             continue
         for j in range(last + 1, m):
-            for t in range(j + 1, m + 1):
-                label = prefix + (j, t)
-                if label not in seen:  # triangles are disjoint; belt and braces
-                    seen.add(label)
-                    out.append(label)
+            out.extend(prefix + (j, t) for t in range(j + 1, m + 1))
     return out
-
-
-def incidence_row(
-    m: int, p: IndexTuple, columns: list[IndexTuple] | None = None
-) -> tuple[int, ...]:
-    """Characteristic vector of the supersets of row label ``p``.
-
-    Columns are the (m/2)-tuples over [m], lexicographic unless an explicit
-    column order is supplied.
-    """
-    if m < 2 or m % 2:
-        raise ValueError(f"need an even m >= 2, got {m}")
-    width = (m - 2) // 2
-    valid = set(index_tuples(width, m))
-    if p not in valid:
-        raise ValueError(f"{p} is not a {width}-tuple over [1, {m}]")
-    cols = columns if columns is not None else index_tuples(m // 2, m)
-    ps = set(p)
-    return tuple(1 if ps <= set(c) else 0 for c in cols)
 
 
 def _column_only_witness(a: BinaryMatrix, b: BinaryMatrix) -> tuple[int, ...] | None:
@@ -197,8 +147,8 @@ def verify_incidence_fractal_match(m: int, n_max: int = 10) -> dict:
     """Match incidence matrices against the recursive family, witnesses recorded.
 
     For the square case of size ``m`` (even, 8 to 12): the lex-ordered matrix
-    must be permutation equivalent to A(r, r-1) with r = (m+2)/2, and the
-    matrix rebuilt in triangle row order must map onto it under a column
+    must be permutation equivalent to A(r, r-1) with r = (m+2)/2, and its
+    rows taken in triangle row order must map onto it under a column
     permutation alone (the discovered permutation is part of the report).
     For all 2 <= k <= n <= n_max: incidence_matrix(n, k) must be permutation
     equivalent to A(n - floor((k-2)/2), floor(k/2)).
@@ -210,8 +160,8 @@ def verify_incidence_fractal_match(m: int, n_max: int = 10) -> dict:
     target = fractal_matrix(r, r - 1)
     square_witness = permutation_equivalent(square, target)
 
-    tri_rows = [incidence_row(m, p) for p in triangle_row_order(m)]
-    tri_matrix = BinaryMatrix.from_rows(tri_rows)
+    tri_matrix = square.submatrix([rank(p, m) for p in triangle_row_order(m)],
+                                  range(square.cols))
     col_perm = _column_only_witness(tri_matrix, target)
     triangle_ok = False
     if col_perm is not None:

@@ -53,18 +53,6 @@ class SymplecticForm:
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
 
-    def pairing(self, i: int, j: int) -> int:
-        """Pairing of basis vectors e_i, e_j (1-based indices)."""
-        if j == partner(i, self.n):
-            return 1 if i < j else -1
-        return 0
-
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        m = 2 * self.n
-        return tuple(
-            tuple(self.pairing(i, j) for j in range(1, m + 1)) for i in range(1, m + 1)
-        )
-
     def pair_vectors(self, x: list[int], y: list[int]) -> int:
         """Pairing of coordinate vectors (plain integer arithmetic, 0-based lists)."""
         m = 2 * self.n
@@ -87,11 +75,6 @@ class PluckerMatrix:
     signs: dict[tuple[int, int], int]
     row_labels: tuple[IndexTuple, ...]
     col_labels: tuple[IndexTuple, ...]
-
-    def coefficient(self, i: int, j: int) -> int:
-        if (i, j) not in self.signs:
-            return 0
-        return self.signs[(i, j)] if self.signed else 1
 
     def field_matrix(self, field: PrimeField) -> FieldMatrix:
         rows: list[list[tuple[int, int]]] = [[] for _ in range(self.support.rows)]
@@ -184,7 +167,6 @@ class Block:
     cols: tuple[int, ...]
     fractal: FractalParams
     witness: PermutationPair
-    cell_label: IndexTuple
 
 
 @dataclass(frozen=True)
@@ -306,7 +288,7 @@ def decompose(n: int, k: int) -> DecompositionReport:
                 f"no family member matches the {sub.rows}x{sub.cols} block at cell {label}"
             )
         a, b, witness = matched
-        blocks.append(Block(comp_rows, comp_cols, FractalParams(a, b), witness, label))
+        blocks.append(Block(comp_rows, comp_cols, FractalParams(a, b), witness))
 
     expected_zero_cols = tuple(
         j for j, beta in enumerate(pm.col_labels) if pair_free_part(beta, n) == beta

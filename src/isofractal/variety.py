@@ -179,12 +179,17 @@ def rational_points(n: int, k: int, q: int, mode: str = "signed",
 
     Raises :class:`BudgetExceededError` when q**d exceeds the budget, and
     ``ValueError`` unless d*d*(q - 1)**3 < 2**63, since the largest int64
-    intermediate, a form on the frontier, sums d*d products below q**3.
+    intermediate, a form on the frontier, sums d*d products below q**3.  The
+    d >= 1 case, (q - 1)**3 < 2**63, is checked before the field is built, so
+    a huge q is refused without testing its primality.
     """
     if mode not in ("signed", "unsigned"):
         raise ValueError(f"mode must be 'signed' or 'unsigned', got {mode!r}")
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    if (q - 1) ** 3 >= 2**63:
+        raise ValueError(f"q={q} overflows int64: need d*d*(q-1)**3 < 2**63 "
+                         "for a kernel of dimension d >= 1")
     field = PrimeField(q)
     pm = plucker_matrix(n, k, signed=(mode == "signed"))
     basis = kernel_basis(pm.field_matrix(field))

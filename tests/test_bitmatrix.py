@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +18,40 @@ from isofractal.bitmatrix import (
     serialize,
     stack_identity_below,
 )
+from isofractal.plucker import plucker_matrix
 
 
 def M(*rows):
     return BinaryMatrix.from_rows([[int(ch) for ch in row] for row in rows])
+
+
+def bfs_components(m):
+    """Breadth-first search over rows and columns, kept free of the library's union-find."""
+    zero_rows = tuple(r for r in range(m.rows) if not m.row_support(r))
+    zero_cols = tuple(c for c in range(m.cols) if not m.col_support(c))
+    seen_rows = set()
+    components = []
+    for start in range(m.rows):
+        if start in seen_rows or not m.row_support(start):
+            continue
+        comp_rows = {start}
+        comp_cols = set()
+        queue = deque([("r", start)])
+        while queue:
+            kind, idx = queue.popleft()
+            if kind == "r":
+                for c in m.row_support(idx):
+                    if c not in comp_cols:
+                        comp_cols.add(c)
+                        queue.append(("c", c))
+            else:
+                for r in m.col_support(idx):
+                    if r not in comp_rows:
+                        comp_rows.add(r)
+                        queue.append(("r", r))
+        seen_rows |= comp_rows
+        components.append((tuple(sorted(comp_rows)), tuple(sorted(comp_cols))))
+    return components, zero_rows, zero_cols
 
 
 @st.composite
@@ -140,6 +171,27 @@ class TestBipartiteComponents:
         rebuilt = direct_sum([m.submatrix(r, c) for r, c in comps])
         witness = permutation_equivalent(rebuilt, m)
         assert witness is not None
+
+    def test_matches_bfs_on_system_supports(self):
+        for n in range(2, 7):
+            for k in range(2, n + 1):
+                support = plucker_matrix(n, k).support
+                assert bipartite_components(support) == bfs_components(support), (n, k)
+
+    def test_matches_bfs_on_random_sparse(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            rows = rng.randrange(0, 12)
+            cols = rng.randrange(0, 12)
+            density = rng.choice((0.05, 0.1, 0.2))
+            coords = {
+                (r, c)
+                for r in range(rows)
+                for c in range(cols)
+                if rng.random() < density
+            }
+            m = BinaryMatrix(rows, cols, frozenset(coords))
+            assert bipartite_components(m) == bfs_components(m)
 
 
 class TestPermutationEquivalent:

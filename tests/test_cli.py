@@ -159,6 +159,12 @@ class TestPointsCommand:
         assert code == 2
         assert "2**63" in capsys.readouterr().err
 
+    def test_huge_prime_is_refused_before_the_field_is_built(self, capsys):
+        # q = 2**61 - 1 is prime; testing that by trial division would not finish
+        code = main(["points", "--n", "2", "--k", "2", "--q", str(2**61 - 1)])
+        assert code == 2
+        assert "(q-1)**3 < 2**63" in capsys.readouterr().err
+
     def test_env_budget_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ISOFRACTAL_BUDGET", "100")
         code = main(["points", "--n", "3", "--k", "3", "--q", "2",

@@ -5,15 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isofractal.combinat import (
-    PairSet,
     index_tuples,
     insert_pair_with_sign,
     pair_free_part,
     partner,
     rank,
     row_partition,
-    unrank,
-    whole_pair_indices,
 )
 
 
@@ -60,13 +57,14 @@ class TestRankUnrank:
         assert rank((3, 4), 4) == 5
 
     def test_unrank_by_enumeration(self):
-        assert unrank(2, 2, 4) == index_tuples(2, 4)[2] == (1, 4)
+        # the lexicographic enumeration is the inverse of rank
+        assert index_tuples(2, 4)[2] == (1, 4)
+        assert rank((1, 4), 4) == 2
 
     def test_out_of_range_rank(self):
-        with pytest.raises(ValueError):
-            unrank(6, 2, 4)
-        with pytest.raises(ValueError):
-            unrank(-1, 2, 4)
+        for bad in [(1, 5), (0, 2), (2, 1), (3, 3)]:
+            with pytest.raises(ValueError):
+                rank(bad, 4)
 
     @given(st.data())
     @settings(max_examples=200)
@@ -74,30 +72,30 @@ class TestRankUnrank:
         m = data.draw(st.integers(0, 12))
         s = data.draw(st.integers(0, m))
         r = data.draw(st.integers(0, math.comb(m, s) - 1))
-        t = unrank(r, s, m)
-        assert rank(t, m) == r
+        assert rank(index_tuples(s, m)[r], m) == r
 
     def test_rank_matches_enumeration(self):
         for m in range(9):
             for s in range(m + 1):
                 for i, t in enumerate(index_tuples(s, m)):
                     assert rank(t, m) == i
-                    assert unrank(i, s, m) == t
 
 
 class TestPairSet:
     def test_members_partition_ground_set(self):
         for n in range(1, 8):
-            ps = PairSet(n)
-            flat = [e for pair in ps.pairs for e in pair]
+            pairs = [(i, partner(i, n)) for i in range(1, n + 1)]
+            flat = [e for pair in pairs for e in pair]
             assert sorted(flat) == list(range(1, 2 * n + 1))
-            for a, b in ps.pairs:
+            for a, b in pairs:
                 assert a + b == 2 * n + 1 and a < b
 
     def test_pair_index(self):
-        ps = PairSet(4)
-        assert ps.pair_index_of(7) == 2
-        assert ps.pair_index_of(2) == 2
+        assert partner(7, 4) == 2
+        assert partner(2, 4) == 7
+        for bad in (0, 9):
+            with pytest.raises(ValueError):
+                partner(bad, 4)
 
 
 def contraction_sign_oracle(base, i, n):
@@ -147,14 +145,14 @@ class TestInsertPairWithSign:
 class TestRowPartition:
     def test_trivial_case(self):
         part = row_partition(2, 2)
-        assert part.parity == "even"
         assert len(part.cells) == 1
         assert part.cells[0].label == ()
         assert part.cells[0].members == ((),)
 
     def test_four_four(self):
         part = row_partition(4, 4)
-        empty = part.cell_for(())
+        empty = part.cells[0]
+        assert empty.label == ()
         assert empty.members == ((1, 8), (2, 7), (3, 6), (4, 5))
         pairs_cells = [c for c in part.cells if len(c.label) == 2]
         assert len(pairs_cells) == 24
@@ -165,7 +163,6 @@ class TestRowPartition:
 
     def test_three_three(self):
         part = row_partition(3, 3)
-        assert part.parity == "odd"
         assert [c.label for c in part.cells] == [(j,) for j in range(1, 7)]
         assert all(c.members == (c.label,) for c in part.cells)
 
@@ -212,6 +209,4 @@ class TestSupportHelpers:
         assert pair_free_part((1, 2, 9, 10), 5) == ()
         assert pair_free_part((1, 2, 8, 9), 5) == (1, 8)
         assert pair_free_part((3, 4, 8), 5) == (4,)
-        assert whole_pair_indices((1, 2, 9, 10), 5) == (1, 2)
-        assert whole_pair_indices((1, 2, 8, 9), 5) == (2,)
         assert partner(1, 5) == 10

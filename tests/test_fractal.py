@@ -67,9 +67,13 @@ class TestConstruction:
                 fractal_matrix_blockwise(*bad)
 
     def test_params_value(self):
-        assert FractalParams(4, 3).shape == (15, 20)
+        params = FractalParams(4, 3)
+        assert (params.k, params.ell) == (4, 3)
         with pytest.raises(ValueError):
             FractalParams(0, 3)
+        # the 64-bit dimension guard of the builders holds for the params too
+        with pytest.raises(ValueError):
+            FractalParams(40, 40)
 
 
 class TestStructuralLaws:

@@ -6,10 +6,8 @@ from isofractal.fractal import fractal_matrix
 from isofractal.gf import (
     FieldMatrix,
     PrimeField,
-    enumerate_projective,
     kernel_basis,
     normalize_projective,
-    projective_count,
     rref,
 )
 from isofractal.plucker import plucker_matrix
@@ -241,7 +239,9 @@ class TestKernelDimensions:
         dims = 256
         for (a, b), count in census.items():
             block = fractal_matrix(a, b)
-            dims += count * (block.cols - rref(FieldMatrix(f2, block.dense(), block.cols)).rank)
+            dense = [[int((r, c) in block.ones) for c in range(block.cols)]
+                     for r in range(block.rows)]
+            dims += count * (block.cols - rref(FieldMatrix(f2, dense, block.cols)).rank)
         assert dims == 6563
 
     def test_eight_eight_gf3_per_component(self):
@@ -297,49 +297,7 @@ class TestKernelBasis:
                 assert rref(FieldMatrix(f, basis)).rank == len(basis)
 
 
-class TestEnumerateProjective:
-    def test_counts(self):
-        f2, f3 = PrimeField(2), PrimeField(3)
-        assert len(list(enumerate_projective([(1, 0)], f2))) == 1
-        basis3 = [(1, 0), (0, 1)]
-        assert len(list(enumerate_projective(basis3, f3))) == 4
-        basis5 = [tuple(1 if i == j else 0 for i in range(5)) for j in range(5)]
-        got = list(enumerate_projective(basis5, f2))
-        assert len(got) == 31 == projective_count(5, 2)
-        assert len(set(got)) == 31
-
-    def test_pairwise_non_proportional(self):
-        f = PrimeField(3)
-        basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        vectors = list(enumerate_projective(basis, f))
-        assert len(vectors) == 13
-        for i, v in enumerate(vectors):
-            for w in vectors[i + 1:]:
-                assert all(
-                    tuple((x * scale) % 3 for x in v) != w for scale in (1, 2)
-                )
-
-    def test_normalized_leading_one(self):
-        f = PrimeField(5)
-        basis = [(2, 3, 0), (0, 4, 1)]
-        for v in enumerate_projective(basis, f):
-            lead = next(x for x in v if x)
-            assert lead == 1
-
-    def test_slices_partition_the_stream(self):
-        f = PrimeField(3)
-        basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        whole = list(enumerate_projective(basis, f))
-        pieces = []
-        for start in range(0, 13, 4):
-            pieces.extend(
-                enumerate_projective(basis, f, start=start, stop=min(start + 4, 13))
-            )
-        assert pieces == whole
-
-    def test_empty_basis(self):
-        assert list(enumerate_projective([], PrimeField(2))) == []
-
+class TestNormalizeProjective:
     def test_normalize_rejects_zero(self):
         with pytest.raises(ValueError):
             normalize_projective([0, 0], PrimeField(3))

@@ -4,12 +4,10 @@ from itertools import combinations
 import pytest
 
 from isofractal.bitmatrix import BinaryMatrix
-from isofractal.combinat import index_tuples
+from isofractal.combinat import index_tuples, rank
 from isofractal.fractal import fractal_matrix
 from isofractal.incidence import (
-    configuration,
     incidence_matrix,
-    incidence_row,
     triangle_row_order,
     verify_configuration,
     verify_incidence_fractal_match,
@@ -45,29 +43,17 @@ class TestIncidenceMatrix:
                     (k - 2) // 2, k // 2, n
                 )
 
-    def test_matches_configuration_for_even_k(self):
-        for n in range(2, 7):
-            for k in range(2, n + 1, 2):
-                conf = configuration(n, k)
-                m = incidence_matrix(n, k)
-                for i, (label, members) in enumerate(conf.subsets):
-                    assert set(m.row_support(i)) == members
-
     def test_configuration_member_counts(self):
-        conf = configuration(5, 4)
-        for _, members in conf.subsets:
-            assert len(members) == 5 - (4 - 2) // 2
-        labels = [label for label, _ in conf.subsets]
-        member_sets = {members for _, members in conf.subsets}
-        assert len(member_sets) == len(labels)
+        m = incidence_matrix(5, 4)
+        assert all(w == 5 - (4 - 2) // 2 for w in m.row_weights())
+        member_sets = {m.row_support(i) for i in range(m.rows)}
+        assert len(member_sets) == m.rows == 5
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             incidence_matrix(3, 1)
         with pytest.raises(ValueError):
             incidence_matrix(3, 4)
-        with pytest.raises(ValueError):
-            configuration(4, 3)
 
 
 class TestVerifyConfiguration:
@@ -126,25 +112,22 @@ class TestTriangleRowOrder:
 
 
 class TestIncidenceRow:
+    """The row of label p in the square matrix is row rank(p), the supersets of p."""
+
+    def row(self, m, p):
+        return incidence_matrix(m, m).row_support(rank(p, m))
+
     def test_known_supersets(self):
-        row = incidence_row(8, (1, 2, 3))
         cols = index_tuples(4, 8)
-        hits = [cols[i] for i, v in enumerate(row) if v]
+        hits = [cols[j] for j in self.row(8, (1, 2, 3))]
         assert hits == [(1, 2, 3, j) for j in range(4, 9)]
-        assert sum(row) == 5
 
     def test_symmetric_label_weight(self):
-        assert sum(incidence_row(8, (6, 7, 8))) == 5
+        assert len(self.row(8, (6, 7, 8))) == 5
 
     def test_injective_on_labels(self):
-        rows = {incidence_row(8, p) for p in index_tuples(3, 8)}
+        rows = {self.row(8, p) for p in index_tuples(3, 8)}
         assert len(rows) == math.comb(8, 3)
-
-    def test_invalid_label(self):
-        with pytest.raises(ValueError):
-            incidence_row(8, (1, 2))
-        with pytest.raises(ValueError):
-            incidence_row(8, (1, 2, 9))
 
 
 class TestFractalMatch:

@@ -5,7 +5,7 @@ import pytest
 
 from isofractal.combinat import index_tuples, pair_free_part
 from isofractal.fractal import fractal_matrix
-from isofractal.gf import PrimeField, kernel_basis, rref
+from isofractal.gf import FieldMatrix, PrimeField, kernel_basis, rref
 from isofractal.plucker import (
     SymplecticForm,
     contraction,
@@ -14,30 +14,43 @@ from isofractal.plucker import (
 )
 
 
+def gram_matrix(n):
+    """Gram matrix of the form from its definition: +1 at (i, 2n+1-i) for i <= n."""
+    m = 2 * n
+    gram = [[0] * m for _ in range(m)]
+    for i in range(n):
+        gram[i][m - 1 - i] = 1
+        gram[m - 1 - i][i] = -1
+    return gram
+
+
+def unit(i, m):
+    return [int(j == i) for j in range(m)]
+
+
 class TestSymplecticForm:
     def test_gram_skew_symmetric_and_invertible(self):
         for n in (1, 2, 3, 4):
             form = SymplecticForm(n)
-            gram = form.gram()
             m = 2 * n
+            gram = [[form.pair_vectors(unit(i, m), unit(j, m)) for j in range(m)]
+                    for i in range(m)]
             for i in range(m):
                 for j in range(m):
                     assert gram[i][j] == -gram[j][i]
             for p in (2, 3):
-                from isofractal.gf import FieldMatrix
-
                 assert rref(FieldMatrix(PrimeField(p), gram)).rank == m
 
     def test_pairing_values(self):
         form = SymplecticForm(2)
-        assert form.pairing(1, 4) == 1
-        assert form.pairing(4, 1) == -1
-        assert form.pairing(1, 2) == 0
+        assert form.pair_vectors(unit(0, 4), unit(3, 4)) == 1
+        assert form.pair_vectors(unit(3, 4), unit(0, 4)) == -1
+        assert form.pair_vectors(unit(0, 4), unit(1, 4)) == 0
 
     def test_pair_vectors_matches_gram(self):
         rng = random.Random(0)
         form = SymplecticForm(3)
-        gram = form.gram()
+        gram = gram_matrix(3)
         for _ in range(20):
             x = [rng.randrange(-3, 4) for _ in range(6)]
             y = [rng.randrange(-3, 4) for _ in range(6)]
@@ -74,10 +87,11 @@ class TestPluckerMatrix:
 
     def test_unsigned_coefficients_are_plus_one(self):
         pm = plucker_matrix(5, 4, signed=False)
-        i = pm.row_labels.index((1, 8))
-        for (r, j) in pm.signs:
-            if r == i:
-                assert pm.coefficient(r, j) == 1
+        for p in (3, 5):
+            m = pm.field_matrix(PrimeField(p))
+            values = [v for row in m.nonzeros for _, v in row]
+            assert len(values) == len(pm.signs)
+            assert set(values) == {1}
 
     def test_row_weights_count_disjoint_pairs(self):
         for n, k in [(3, 3), (4, 4), (5, 4)]:

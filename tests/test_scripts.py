@@ -1,0 +1,42 @@
+"""Smoke tests: each survey script runs at its smallest setting and prints a known line."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_fractal_density_table():
+    lines = run_script("fractal_density_table.py", "--k-max", "2", "--ell-max", "2")
+    assert "  2    2        3        3        6    0.66667" in lines
+
+
+def test_decomposition_survey():
+    lines = run_script("decomposition_survey.py", "--n-max", "3")
+    assert any(
+        line.startswith("(n=3, k=3)  6 x A(2,1); 8 zero columns;"
+                        " kernel dim 14 over GF(2), 14 over GF(3)")
+        for line in lines
+    )
+
+
+def test_point_census():
+    lines = run_script("point_census.py", "--instances", "2,2,2")
+    assert len(lines) == 1
+    assert lines[0].startswith("(n=2, k=2, q=2)  closed form 15; kernel search 15 of 31 classes")
+    assert lines[0].endswith("sets agree")
