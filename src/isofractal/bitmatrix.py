@@ -87,6 +87,11 @@ class BinaryMatrix:
             adj[c].append(r)
         return tuple(tuple(a) for a in adj)
 
+    @cached_property
+    def _vertex_adj(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbours of each vertex: rows ``0..rows-1``, then columns shifted by ``rows``."""
+        return tuple(tuple(self.rows + c for c in a) for a in self._row_adj) + self._col_adj
+
     def row_support(self, r: int) -> tuple[int, ...]:
         return self._row_adj[r]
 
@@ -253,99 +258,55 @@ def bipartite_components(
 
 # --- permutation equivalence -------------------------------------------------
 #
-# Exact search: iterative signature refinement over the bipartite incidence
-# graph, then individualization with backtracking on the residual classes.
-# Refinement colors are interned in a table shared between both matrices so
-# classes stay comparable; a null answer is returned only once every candidate
-# assignment in some class has been exhausted.
+# Exact search: colour refinement of one vertex set, the rows followed by the
+# columns shifted by ``rows``, over the bipartite incidence graph, then
+# individualization with backtracking on the residual classes (McKay & Piperno,
+# "Practical graph isomorphism II", 2014).  The rows start as one class and
+# the columns as another; the first round splits both by weight.  Each round
+# interns the signatures of the first matrix's vertices, then the second's, in
+# one table, so colours stay comparable; a null answer is returned only once
+# every candidate assignment in some class has been exhausted.
 
-_ColorState = tuple[list[int], list[int], list[int], list[int]]
 
-
-def _refine(a: BinaryMatrix, b: BinaryMatrix, state: _ColorState) -> _ColorState | None:
-    ar, ac, br, bc = state
-    ncolors = len(set(ar)) + len(set(ac))
+def _refine(a: BinaryMatrix, b: BinaryMatrix, ca: list[int], cb: list[int]
+            ) -> tuple[list[int], list[int]] | None:
+    ncolors = len(set(ca))
     while True:
-        table: dict[object, int] = {}
-
-        def code(sig: object) -> int:
-            v = table.get(sig)
-            if v is None:
-                v = len(table)
-                table[sig] = v
-            return v
-
-        nar = [code(("r", ar[i], tuple(sorted(ac[j] for j in a._row_adj[i]))))
-               for i in range(a.rows)]
-        nbr = [code(("r", br[i], tuple(sorted(bc[j] for j in b._row_adj[i]))))
-               for i in range(b.rows)]
-        nac = [code(("c", ac[j], tuple(sorted(ar[i] for i in a._col_adj[j]))))
-               for j in range(a.cols)]
-        nbc = [code(("c", bc[j], tuple(sorted(br[i] for i in b._col_adj[j]))))
-               for j in range(b.cols)]
-        if Counter(nar) != Counter(nbr) or Counter(nac) != Counter(nbc):
+        table: dict[tuple[int, tuple[int, ...]], int] = {}
+        ca = [table.setdefault((ca[v], tuple(sorted(ca[u] for u in adj))), len(table))
+              for v, adj in enumerate(a._vertex_adj)]
+        cb = [table.setdefault((cb[v], tuple(sorted(cb[u] for u in adj))), len(table))
+              for v, adj in enumerate(b._vertex_adj)]
+        if Counter(ca) != Counter(cb):
             return None
-        new_ncolors = len(set(nar)) + len(set(nac))
-        ar, ac, br, bc = nar, nac, nbr, nbc
-        if new_ncolors == ncolors:
-            return ar, ac, br, bc
-        ncolors = new_ncolors
+        if len(table) == ncolors:
+            return ca, cb
+        ncolors = len(table)
 
 
-def _extract_witness(
-    a: BinaryMatrix, b: BinaryMatrix, state: _ColorState
-) -> PermutationPair | None:
-    ar, ac, br, bc = state
-    brow_by_color = {color: i for i, color in enumerate(br)}
-    bcol_by_color = {color: j for j, color in enumerate(bc)}
-    row_perm = tuple(brow_by_color[color] for color in ar)
-    col_perm = tuple(bcol_by_color[color] for color in ac)
-    witness = PermutationPair(row_perm, col_perm)
-    if witness.apply(a).ones == b.ones:
-        return witness
-    return None
-
-
-def _search(a: BinaryMatrix, b: BinaryMatrix, state: _ColorState) -> PermutationPair | None:
-    refined = _refine(a, b, state)
+def _search(a: BinaryMatrix, b: BinaryMatrix, ca: list[int], cb: list[int]
+            ) -> PermutationPair | None:
+    refined = _refine(a, b, ca, cb)
     if refined is None:
         return None
-    ar, ac, br, bc = refined
-
-    def pick(colors: list[int]) -> int | None:
-        counts = Counter(colors)
-        multi = [(cnt, color) for color, cnt in counts.items() if cnt > 1]
-        return min(multi)[1] if multi else None
-
-    target = pick(ar)
-    row_side = True
-    if target is None:
-        target = pick(ac)
-        row_side = False
-    if target is None:
-        return _extract_witness(a, b, refined)
-
-    fresh = max(ar + ac + br + bc) + 1
-    if row_side:
-        i0 = ar.index(target)
-        candidates = [j for j, color in enumerate(br) if color == target]
-        for j in candidates:
-            nar, nbr = list(ar), list(br)
-            nar[i0] = fresh
-            nbr[j] = fresh
-            found = _search(a, b, (nar, list(ac), nbr, list(bc)))
-            if found is not None:
-                return found
+    ca, cb = refined
+    counts = Counter(ca)
+    for side in (ca[: a.rows], ca[a.rows:]):
+        multi = [(counts[color], color) for color in side if counts[color] > 1]
+        if multi:
+            break
     else:
-        j0 = ac.index(target)
-        candidates = [j for j, color in enumerate(bc) if color == target]
-        for j in candidates:
-            nac, nbc = list(ac), list(bc)
-            nac[j0] = fresh
-            nbc[j] = fresh
-            found = _search(a, b, (list(ar), nac, list(br), nbc))
-            if found is not None:
-                return found
+        vertex_of = {color: w for w, color in enumerate(cb)}
+        witness = PermutationPair(tuple(vertex_of[color] for color in ca[: a.rows]),
+                                  tuple(vertex_of[color] - a.rows for color in ca[a.rows:]))
+        return witness if witness.apply(a).ones == b.ones else None
+    target = min(multi)[1]
+    fresh = max(ca) + 1
+    v = ca.index(target)
+    for w in [w for w, color in enumerate(cb) if color == target]:
+        found = _search(a, b, ca[:v] + [fresh] + ca[v + 1:], cb[:w] + [fresh] + cb[w + 1:])
+        if found is not None:
+            return found
     return None
 
 
@@ -364,20 +325,8 @@ def permutation_equivalent(a: BinaryMatrix, b: BinaryMatrix) -> PermutationPair 
         return None
     if sorted(a.col_weights()) != sorted(b.col_weights()):
         return None
-    table: dict[object, int] = {}
-
-    def code(sig: object) -> int:
-        v = table.get(sig)
-        if v is None:
-            v = len(table)
-            table[sig] = v
-        return v
-
-    ar = [code(("r", a.row_weight(i))) for i in range(a.rows)]
-    br = [code(("r", b.row_weight(i))) for i in range(b.rows)]
-    ac = [code(("c", a.col_weight(j))) for j in range(a.cols)]
-    bc = [code(("c", b.col_weight(j))) for j in range(b.cols)]
-    return _search(a, b, (ar, ac, br, bc))
+    sides = [0] * a.rows + [1] * a.cols
+    return _search(a, b, sides, list(sides))
 
 
 # --- serialization ------------------------------------------------------------

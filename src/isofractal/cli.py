@@ -26,7 +26,7 @@ import sys
 import tempfile
 import time
 
-from .bitmatrix import FORMATS, serialize
+from .bitmatrix import FORMATS, MATRIXMARKET_HEADER, serialize
 from .fractal import fractal_matrix, verify_fractal
 from .gf import PrimeField
 from .incidence import incidence_matrix, verify_configuration, verify_incidence_fractal_match
@@ -103,8 +103,7 @@ def _cmd_plucker(args: argparse.Namespace) -> int:
     if args.signed:
         if args.format != "matrixmarket":
             raise ValueError("--signed output needs --format matrixmarket")
-        lines = ["%%MatrixMarket matrix coordinate integer general",
-                 f"{pm.support.rows} {pm.support.cols} {len(pm.signs)}"]
+        lines = [MATRIXMARKET_HEADER, f"{pm.support.rows} {pm.support.cols} {len(pm.signs)}"]
         lines.extend(
             f"{i + 1} {j + 1} {pm.signs[(i, j)]}" for i, j in sorted(pm.signs)
         )
@@ -122,16 +121,15 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_points(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else _default_budget()
-    mode = "unsigned" if args.unsigned else "signed"
     started = time.perf_counter()
-    result = rational_points(args.n, args.k, args.q, mode=mode, budget=budget)
+    result = rational_points(args.n, args.k, args.q, budget=budget)
     elapsed = time.perf_counter() - started
     expected = expected_count(args.n, args.k, args.q)
     summary = {
         "count": result.count,
         "expected": expected,
         "match": result.count == expected,
-        "mode": mode,
+        "mode": "signed",
         "elapsed": round(elapsed, 6),
     }
     if args.oracle:
@@ -281,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     points.add_argument("--n", type=int, required=True)
     points.add_argument("--k", type=int, required=True)
     points.add_argument("--q", type=int, required=True, help="prime field size")
-    points.add_argument("--unsigned", action="store_true",
-                        help="use the unsigned coefficient matrix")
     points.add_argument("--oracle", action="store_true",
                         help="cross-check against the subspace enumeration")
     points.add_argument("--budget", type=_budget, default=None,

@@ -12,9 +12,10 @@ nonzeros.  The dense ``entries`` view is built only when read.
 Elimination works component by component.  ``bitmatrix.row_components``, the
 union-find that also splits the contraction system's support into blocks,
 splits the bipartite graph of rows and columns into connected components;
-zero rows and zero columns take no part.  Each component is eliminated as a
-small dense block: bit-packed rows over GF(2), where a row update is one XOR,
-and residue rows otherwise.  The result equals whole-matrix elimination.  Columns of
+zero rows and zero columns take no part.  Each component is eliminated by one
+sparse Gauss-Jordan on its rows, each a ``{column: residue}`` map: columns in
+ascending order, the pivot being the first remaining row that is nonzero in
+the column.  The result equals whole-matrix elimination.  Columns of
 different components have disjoint row supports, so a column is independent
 of the earlier columns exactly when it is independent of the earlier columns
 of its own component: the pivots agree.  The reduced row echelon form is
@@ -143,76 +144,38 @@ class EchelonResult:
 def rref(m: FieldMatrix) -> EchelonResult:
     """Reduced row echelon form, rank, and pivot columns.
 
-    Each connected component of the row/column graph is eliminated as its own
-    dense block; see the module docstring for why the assembled result equals
+    Each connected component of the row/column graph is eliminated on its own
+    sparse rows; see the module docstring for why the assembled result equals
     whole-matrix elimination.
     """
-    reduced: list[tuple[int, list[tuple[int, int]]]] = []
+    p = m.field.p
+    reduced: list[tuple[int, dict[int, int]]] = []
     for block_rows in row_components([[j for j, _ in row] for row in m.nonzeros], m.ncols):
-        cols = sorted({j for i in block_rows for j, _ in m.nonzeros[i]})
-        local = {j: c for c, j in enumerate(cols)}
-        block = [[0] * len(cols) for _ in block_rows]
-        for dense, i in zip(block, block_rows):
-            for j, v in m.nonzeros[i]:
-                dense[local[j]] = v
-        if m.field.p == 2:
-            rows, pivots = _rref_gf2(block, len(cols))
-        else:
-            rows, pivots = _rref_generic(block, len(cols), m.field)
-        for c, row in zip(pivots, rows):
-            reduced.append((cols[c], [(cols[j], v) for j, v in enumerate(row) if v]))
+        remaining = [dict(m.nonzeros[i]) for i in block_rows]
+        done: list[dict[int, int]] = []
+        for c in sorted({j for row in remaining for j in row}):
+            index = next((i for i, row in enumerate(remaining) if c in row), None)
+            if index is None:
+                continue
+            pivot = remaining.pop(index)
+            inv = m.field.inv(pivot[c])
+            if inv != 1:
+                pivot = {j: (v * inv) % p for j, v in pivot.items()}
+            for row in remaining + done:
+                factor = row.get(c)
+                if factor:
+                    for j, v in pivot.items():
+                        value = (row.get(j, 0) - factor * v) % p
+                        if value:
+                            row[j] = value
+                        else:
+                            del row[j]
+            done.append(pivot)
+            reduced.append((c, pivot))
     reduced.sort(key=lambda pivot_row: pivot_row[0])
     pivots = tuple(c for c, _ in reduced)
-    rows = [row for _, row in reduced] + [[]] * (m.nrows - len(reduced))
+    rows = [row.items() for _, row in reduced] + [()] * (m.nrows - len(reduced))
     return EchelonResult(FieldMatrix.from_nonzeros(m.field, rows, m.ncols), len(pivots), pivots)
-
-
-def _rref_gf2(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan over GF(2) on dense rows; returns the nonzero reduced rows and pivots."""
-    packed = [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(packed):
-            break
-        mask = 1 << c
-        pivot_row = next((i for i in range(r, len(packed)) if packed[i] & mask), None)
-        if pivot_row is None:
-            continue
-        packed[r], packed[pivot_row] = packed[pivot_row], packed[r]
-        row = packed[r]
-        for i in range(len(packed)):
-            if i != r and packed[i] & mask:
-                packed[i] ^= row
-        pivots.append(c)
-        r += 1
-    return [[(word >> j) & 1 for j in range(ncols)] for word in packed[:r]], pivots
-
-
-def _rref_generic(
-    rows: list[list[int]], ncols: int, field: PrimeField
-) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan over GF(p) on dense rows; returns the nonzero reduced rows and pivots."""
-    p = field.p
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
 
 
 def kernel_basis(m: FieldMatrix) -> list[FieldVector]:

@@ -176,6 +176,8 @@ def rational_points(n: int, k: int, q: int, mode: str = "signed",
     (fixed to 1) a frontier of partial coefficient vectors is extended by the q
     values of each next coefficient, dropping rows where a form keyed to that
     level is nonzero.  ``examined`` counts the projective classes decided.
+    ``mode="unsigned"`` takes every coefficient as +1; that is the isotropic
+    system only when q == 2 or k == 2, where every sign is +1 anyway.
 
     Raises :class:`BudgetExceededError` when q**d exceeds the budget, and
     ``ValueError`` unless d*d*(q - 1)**3 < 2**63, since the largest int64

@@ -265,6 +265,57 @@ class TestPermutationEquivalent:
         assert w is not None and w.apply(a) == b
 
 
+def doubled_block_pair(seed):
+    """A direct sum of two equal random blocks and its scramble; the swap of the
+    blocks is an automorphism, so the search has to individualize."""
+    rng = random.Random(seed)
+    rows, cols = rng.randint(2, 4), rng.randint(2, 4)
+    coords = {(r, c) for r in range(rows) for c in range(cols) if rng.random() < 0.5}
+    block = BinaryMatrix(rows, cols, frozenset(coords | {(0, 0)}))
+    a = direct_sum([block, block])
+    rp, cp = list(range(a.rows)), list(range(a.cols))
+    rng.shuffle(rp)
+    rng.shuffle(cp)
+    return a, PermutationPair(tuple(rp), tuple(cp)).apply(a)
+
+
+# Witnesses of the refinement's tie-breaks (smallest class, rows before
+# columns, candidates in ascending order); any change to them shows here.
+PINNED_WITNESSES = [
+    ((0, 2, 4, 1, 3, 5), (2, 0, 3, 1, 5, 4)),
+    ((1, 0, 3, 2), (0, 3, 5, 2, 1, 7, 4, 6)),
+    ((1, 0, 3, 2), (2, 0, 1, 3)),
+    ((0, 1, 2, 3), (1, 5, 2, 7, 0, 6, 3, 4)),
+    ((2, 1, 3, 0), (3, 5, 4, 0, 1, 2)),
+    ((0, 2, 7, 1, 5, 4, 6, 3), (1, 0, 5, 4, 2, 3)),
+    ((2, 0, 5, 7, 6, 1, 3, 4), (3, 2, 1, 0)),
+    ((3, 2, 1, 4, 0, 5), (1, 2, 3, 0)),
+    ((0, 2, 1, 3), (0, 2, 1, 4, 5, 3)),
+    ((1, 5, 3, 4, 2, 0), (0, 1, 7, 4, 3, 5, 2, 6)),
+]
+
+
+class TestPinnedWitnesses:
+    def test_structured_case(self):
+        from isofractal.incidence import incidence_matrix
+
+        a = incidence_matrix(4, 4)
+        b = PermutationPair((2, 0, 3, 1), (5, 3, 0, 4, 1, 2)).apply(a)
+        w = permutation_equivalent(a, b)
+        assert (w.row_perm, w.col_perm) == ((0, 1, 2, 3), (1, 5, 4, 0, 2, 3))
+
+    def test_row_swap_with_symmetry(self):
+        w = permutation_equivalent(M("110", "011"), M("011", "110"))
+        assert (w.row_perm, w.col_perm) == ((0, 1), (2, 1, 0))
+
+    @pytest.mark.parametrize("seed", range(len(PINNED_WITNESSES)))
+    def test_doubled_block_scrambles(self, seed):
+        a, b = doubled_block_pair(seed)
+        w = permutation_equivalent(a, b)
+        assert (w.row_perm, w.col_perm) == PINNED_WITNESSES[seed]
+        assert w.apply(a) == b
+
+
 class TestSerialization:
     def test_matrixmarket_golden(self):
         a22 = M("110", "101", "011")

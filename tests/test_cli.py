@@ -179,12 +179,10 @@ class TestPointsCommand:
                      "--summary-out", str(tmp_path / "s2.json")])
         assert code == 0
 
-    def test_unsigned_mode_reported(self, tmp_path):
-        summary_path = tmp_path / "summary.json"
-        main(["points", "--n", "2", "--k", "2", "--q", "2", "--unsigned",
-              "--out", str(tmp_path / "pts.txt"),
-              "--summary-out", str(summary_path)])
-        assert json.loads(summary_path.read_text())["mode"] == "unsigned"
+    def test_unsigned_is_not_an_option(self):
+        with pytest.raises(SystemExit) as err:
+            main(["points", "--n", "2", "--k", "2", "--q", "2", "--unsigned"])
+        assert err.value.code == 2
 
 
 class TestVerifyCommand:
