@@ -32,7 +32,8 @@ def main() -> None:
             started = time.perf_counter()
             oracle = oracle_points(n, k, q, budget=args.budget)
             oracle_time = time.perf_counter() - started
-            line += (f"; oracle {oracle.count} [{oracle_time:.2f}s]"
+            line += (f"; oracle {oracle.count} of {oracle.examined} nodes"
+                     f" [{oracle_time:.2f}s]"
                      f" sets {'agree' if oracle.points == found.points else 'DIFFER'}")
         print(line)
 

@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     points.add_argument("--k", type=int, required=True)
     points.add_argument("--q", type=int, required=True, help="prime field size")
     points.add_argument("--oracle", action="store_true",
-                        help="cross-check against the subspace enumeration")
+                        help="cross-check against the isotropic subspace search")
     points.add_argument("--budget", type=_budget, default=None,
                         help="enumeration budget (default ISOFRACTAL_BUDGET or "
                              f"{DEFAULT_BUDGET})")

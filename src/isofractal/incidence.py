@@ -4,10 +4,10 @@ For even k the configuration has ground set C(k/2 pairs of n) and one subset
 per (k-2)/2-tuple of pairs, namely all its one-pair extensions.
 ``incidence_matrix`` builds its incidence matrix as the containment matrix
 between (k/2 - 1)-subsets and (k/2)-subsets of the pair indices [n], rows and
-columns in lexicographic order; it is the one place the containment relation
-is computed.  Odd k is served by the same containment matrix at floor
-parameters, which is the form in which odd blocks occur inside the big linear
-system.
+columns in lexicographic order, from each row label's one-element extensions;
+it is the one place the containment relation is computed.  Odd k is served by
+the same containment matrix at floor parameters, which is the form in which
+odd blocks occur inside the big linear system.
 
 The triangle enumeration orders the row labels by their length-(m-6)/2 prefix
 and then by the two trailing entries, which is the order in which the stepped
@@ -26,22 +26,23 @@ def incidence_matrix(n: int, k: int) -> BinaryMatrix:
 
     Rows and columns are in lexicographic label order; the entry is 1 exactly
     when the row label's support is contained in the column label's support.
+    Column labels always have one element more than row labels, so row i's
+    ones are the extensions of its label by one element; only those are built.
     For even k this is the incidence matrix of the pair-tuple configuration:
     row i marks the one-pair extensions of the i-th (k-2)/2-tuple of pairs.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     low = (k - 2) // 2
-    high = k // 2
     row_labels = index_tuples(low, n)
-    col_labels = index_tuples(high, n)
+    col_index = {b: j for j, b in enumerate(index_tuples(low + 1, n))}
     ones = frozenset(
-        (i, j)
+        (i, col_index[tuple(sorted(a + (e,)))])
         for i, a in enumerate(row_labels)
-        for j, b in enumerate(col_labels)
-        if set(a) <= set(b)
+        for e in range(1, n + 1)
+        if e not in a
     )
-    return BinaryMatrix(len(row_labels), len(col_labels), ones)
+    return BinaryMatrix(len(row_labels), len(col_index), ones)
 
 
 def verify_configuration(n: int, k: int) -> dict:

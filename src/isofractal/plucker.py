@@ -53,15 +53,22 @@ class SymplecticForm:
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
 
+    def dual(self, x: list[int]) -> list[int]:
+        """Coefficients of the linear form y -> pairing(x, y), 0-based lists.
+
+        Coordinate c of the result is x at the partner 2n-1-c, negated when c
+        is in the first half.
+        """
+        m = 2 * self.n
+        if len(x) != m:
+            raise ValueError(f"vectors must have length {m}")
+        return [x[m - 1 - c] if c >= self.n else -x[m - 1 - c] for c in range(m)]
+
     def pair_vectors(self, x: list[int], y: list[int]) -> int:
         """Pairing of coordinate vectors (plain integer arithmetic, 0-based lists)."""
-        m = 2 * self.n
-        if len(x) != m or len(y) != m:
-            raise ValueError(f"vectors must have length {m}")
-        total = 0
-        for i in range(self.n):
-            total += x[i] * y[m - 1 - i] - x[m - 1 - i] * y[i]
-        return total
+        if len(y) != 2 * self.n:
+            raise ValueError(f"vectors must have length {2 * self.n}")
+        return sum(a * b for a, b in zip(self.dual(x), y))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,12 @@ Two independent routes produce the same point set:
   relation back to a quadratic form in the kernel coefficients, and search the
   coefficients level by level, dropping a partial assignment as soon as a
   reduced form whose variables are all set is nonzero,
-* ``oracle_points``: enumerate every k-dimensional subspace by its reduced
-  echelon basis, keep the ones on which the symplectic pairing vanishes, and
-  push them through the minor (wedge coordinate) map.
+* ``oracle_points``: build the reduced echelon basis of every isotropic
+  k-dimensional subspace row by row, extending a partial basis only by rows
+  that pair to zero with the rows already chosen, and push the bases through
+  the minor (wedge coordinate) map in streamed numpy batches.  It uses neither
+  the linear system nor the relations, and its budget bounds the search nodes
+  (accepted echelon rows) as they are visited.
 
 ``expected_count`` evaluates the closed-form cardinality, which both routes
 must reproduce.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -32,11 +35,11 @@ DEFAULT_BUDGET = 1 << 25
 
 
 class BudgetExceededError(ValueError):
-    """Enumeration would exceed the configured budget; carries the needed value."""
+    """Enumeration would exceed the configured budget; carries a lower bound on the need."""
 
     def __init__(self, required: int, budget: int, what: str):
         super().__init__(
-            f"{what} needs a budget of {required}, configured budget is {budget}"
+            f"{what} needs a budget of at least {required}, configured budget is {budget}"
         )
         self.required = required
         self.budget = budget
@@ -105,7 +108,11 @@ def evaluate_relation(
 
 @dataclass(frozen=True)
 class PointSet:
-    """Normalized projective points found, plus the number of classes examined."""
+    """Normalized projective points found, plus the work done to find them.
+
+    ``examined`` counts projective kernel classes for ``rational_points`` and
+    search nodes (accepted echelon rows) for ``oracle_points``.
+    """
 
     n: int
     k: int
@@ -166,8 +173,7 @@ def _pullback_forms(relations: list[QuadraticRelation], basis: np.ndarray,
     return forms % q
 
 
-def rational_points(n: int, k: int, q: int, mode: str = "signed",
-                    budget: int = DEFAULT_BUDGET) -> PointSet:
+def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> PointSet:
     """Kernel representatives surviving every quadratic relation.
 
     The relations, pulled back to forms in the d kernel coefficients, are
@@ -176,8 +182,6 @@ def rational_points(n: int, k: int, q: int, mode: str = "signed",
     (fixed to 1) a frontier of partial coefficient vectors is extended by the q
     values of each next coefficient, dropping rows where a form keyed to that
     level is nonzero.  ``examined`` counts the projective classes decided.
-    ``mode="unsigned"`` takes every coefficient as +1; that is the isotropic
-    system only when q == 2 or k == 2, where every sign is +1 anyway.
 
     Raises :class:`BudgetExceededError` when q**d exceeds the budget, and
     ``ValueError`` unless d*d*(q - 1)**3 < 2**63, since the largest int64
@@ -185,15 +189,13 @@ def rational_points(n: int, k: int, q: int, mode: str = "signed",
     d >= 1 case, (q - 1)**3 < 2**63, is checked before the field is built, so
     a huge q is refused without testing its primality.
     """
-    if mode not in ("signed", "unsigned"):
-        raise ValueError(f"mode must be 'signed' or 'unsigned', got {mode!r}")
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if (q - 1) ** 3 >= 2**63:
         raise ValueError(f"q={q} overflows int64: need d*d*(q-1)**3 < 2**63 "
                          "for a kernel of dimension d >= 1")
     field = PrimeField(q)
-    pm = plucker_matrix(n, k, signed=(mode == "signed"))
+    pm = plucker_matrix(n, k, signed=True)
     basis = kernel_basis(pm.field_matrix(field))
     d = len(basis)
     if d * d * (q - 1) ** 3 >= 2**63:
@@ -228,74 +230,120 @@ def rational_points(n: int, k: int, q: int, mode: str = "signed",
                     examined=projective_count(d, q))
 
 
-def _det_mod(rows: list[list[int]], field: PrimeField) -> int:
-    """Determinant over GF(p) by elimination with row swaps."""
-    p = field.p
-    a = [row[:] for row in rows]
-    size = len(a)
-    det = 1
-    for c in range(size):
-        pivot = next((r for r in range(c, size) if a[r][c] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        det = (det * a[c][c]) % p
-        inv = field.inv(a[c][c])
-        for r in range(c + 1, size):
-            if a[r][c] % p:
-                factor = (a[r][c] * inv) % p
-                a[r] = [(x - factor * y) % p for x, y in zip(a[r], a[c])]
-    return det % p
+def _wedge_minors(bases: np.ndarray, q: int) -> np.ndarray:
+    """All k x k minors mod q of each k x m basis, columns in lexicographic order.
+
+    Leibniz expansion over the k! permutations, one gather per permutation and
+    row.  Each product and each running sum is reduced mod q at once, so no
+    intermediate reaches 2**63 while (q - 1)**2 < 2**63.
+    """
+    _, k, m = bases.shape
+    cols = np.array(list(combinations(range(m), k)), dtype=np.intp)
+    total = np.zeros((len(bases), len(cols)), dtype=np.int64)
+    for perm in permutations(range(k)):
+        term = bases[:, 0, cols[:, perm[0]]]
+        for i in range(1, k):
+            term *= bases[:, i, cols[:, perm[i]]]
+            term %= q
+        if sum(a > b for a, b in combinations(perm, 2)) % 2:
+            total -= term
+        else:
+            total += term
+        total %= q
+    return total
+
+
+_CHUNK = 256  # leaves per minor pass; holding every basis at once costs memory
 
 
 def oracle_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> PointSet:
     """Brute-force route: wedge coordinates of every isotropic k-subspace.
 
-    Subspaces of GF(q)^(2n) are enumerated by reduced echelon basis (one basis
-    per subspace), kept when the symplectic pairing vanishes on every basis
-    pair, and mapped through all k x k minors in lexicographic column order.
+    Each subspace of GF(q)^(2n) has one reduced echelon basis, with pivots
+    p_0 < ... < p_(k-1).  The search builds those bases row by row, pivot set
+    by pivot set, and extends a partial basis only by rows that pair to zero
+    with every row already chosen, so no non-isotropic subspace is built.  The
+    pairing with the earlier row j is the linear form dual(r_j).  As r_j is 1
+    at p_j and zero before p_j and at the other pivots, dual(r_j) is +-1 at
+    the partner cell c_j = 2n-1-p_j, zero past it, and zero at the partner
+    cell of every other pivot.  Hence:
+
+    * a pivot set holding a partner pair {p_j, c_j} pairs row j and the row
+      pivoting at c_j to +-1 whatever the free cells hold; it is skipped;
+    * otherwise row i must satisfy, for each earlier j with c_j > p_i, one
+      equation, and only that equation touches cell c_j, a free cell of row i:
+      the small affine system is already solved for those cells, and its
+      solutions are the q**(free cells - equations) choices of the rest.  The
+      earlier rows with c_j < p_i vanish on row i's cells.
+
+    Complete bases are streamed in chunks of ``_CHUNK`` through one numpy pass
+    computing all C(2n, k) minors, in lexicographic column order.  An echelon
+    basis has pivot minor 1 and zero minors before it, so its minor vector is
+    already normalized; this is checked, as is that the distinct subspaces gave
+    distinct points.  Either check failing raises ``ArithmeticError``.
+
+    ``examined`` counts the search nodes, that is the accepted echelon rows at
+    every depth.  They are counted as they are visited, and visiting more than
+    ``budget`` raises :class:`BudgetExceededError` whose ``required`` is a
+    lower bound (nodes visited + 1) and whose message names the depth reached.
+    The minors are exact in int64 only while (q - 1)**2 < 2**63; a larger q
+    raises ``ValueError`` before the field is built.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    field = PrimeField(q)
+    if (q - 1) ** 2 >= 2**63:
+        raise ValueError(f"q={q} overflows int64: the minors need (q-1)**2 < 2**63")
+    PrimeField(q)  # validates primality
     m = 2 * n
-    total = subspace_count(m, k, q)
-    if total > budget:
-        raise BudgetExceededError(
-            required=total,
-            budget=budget,
-            what=f"subspace enumeration for (n={n}, k={k}, q={q})",
-        )
     form = SymplecticForm(n)
-    col_combos = [tuple(c - 1 for c in t) for t in index_tuples(k, m)]
     points: set[FieldVector] = set()
-    examined = 0
-    for pivots in combinations(range(m), k):
-        pivot_set = set(pivots)
-        free_cells = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, m)
-            if j not in pivot_set
-        ]
-        for values in product(range(q), repeat=len(free_cells)):
-            rows = [[0] * m for _ in range(k)]
-            for i, pc in enumerate(pivots):
-                rows[i][pc] = 1
-            for (i, j), v in zip(free_cells, values):
-                rows[i][j] = v
-            examined += 1
-            if any(
-                form.pair_vectors(rows[i], rows[j]) % q
-                for i in range(k)
-                for j in range(i + 1, k)
-            ):
+    chunk: list[list[list[int]]] = []
+    nodes = leaves = 0
+
+    def flush() -> None:
+        minors = _wedge_minors(np.array(chunk, dtype=np.int64), q)
+        lead = minors[np.arange(len(minors)), (minors != 0).argmax(axis=1)]
+        if (lead != 1).any():
+            raise ArithmeticError("an echelon basis has a minor vector whose first "
+                                  "nonzero is not 1")
+        points.update(map(tuple, minors.tolist()))
+        chunk.clear()
+
+    def extend(pivots: tuple[int, ...], rows: list[list[int]],
+               duals: list[list[int]]) -> None:
+        nonlocal nodes, leaves
+        i = len(rows)
+        pivot = pivots[i]
+        solved = [(duals[j], m - 1 - p) for j, p in enumerate(pivots[:i])
+                  if m - 1 - p > pivot]
+        fixed = set(pivots) | {c for _, c in solved}
+        cells = [c for c in range(pivot + 1, m) if c not in fixed]
+        for values in product(range(q), repeat=len(cells)):
+            row = [0] * m
+            row[pivot] = 1
+            for c, v in zip(cells, values):
+                row[c] = v
+            for w, c in solved:
+                row[c] = -w[c] * sum(a * b for a, b in zip(w, row)) % q
+            if nodes == budget:
+                raise BudgetExceededError(
+                    required=nodes + 1, budget=budget,
+                    what=(f"isotropic subspace search for (n={n}, k={k}, q={q}), "
+                          f"stopped at echelon row {i + 1} of {k},"))
+            nodes += 1
+            if i + 1 < k:
+                extend(pivots, rows + [row], duals + [form.dual(row)])
                 continue
-            vec = [
-                _det_mod([[rows[i][c] for c in cols] for i in range(k)], field)
-                for cols in col_combos
-            ]
-            points.add(normalize_projective(vec, field))
-    return PointSet(n=n, k=k, q=q, points=frozenset(points), examined=examined)
+            chunk.append(rows + [row])
+            leaves += 1
+            if len(chunk) == _CHUNK:
+                flush()
+
+    for pivots in combinations(range(m), k):
+        if not any(m - 1 - p in pivots for p in pivots):
+            extend(pivots, [], [])
+    if chunk:
+        flush()
+    if len(points) != leaves:
+        raise ArithmeticError(f"{leaves} isotropic subspaces gave {len(points)} points")
+    return PointSet(n=n, k=k, q=q, points=frozenset(points), examined=nodes)

@@ -169,7 +169,7 @@ def test_criterion_07_rational_points():
     }
     for (n, k, q), count in expectations.items():
         start = time.perf_counter()
-        found = rational_points(n, k, q, mode="signed")
+        found = rational_points(n, k, q)
         oracle = oracle_points(n, k, q)
         elapsed = time.perf_counter() - start
         assert found.count == expected_count(n, k, q) == count, (n, k, q)
@@ -181,7 +181,7 @@ def test_criterion_07_rational_points():
 @pytest.mark.slow
 def test_criterion_08_stretch_enumeration():
     start = time.perf_counter()
-    found = rational_points(3, 3, 3, mode="signed")
+    found = rational_points(3, 3, 3)
     oracle = oracle_points(3, 3, 3)
     elapsed = time.perf_counter() - start
     assert found.count == 1120

@@ -37,11 +37,11 @@ class TestIncidenceMatrix:
         assert all(w == 4 for w in m.col_weights())
 
     def test_matches_direct_containment(self):
-        for n in range(2, 8):
-            for k in range(2, n + 1):
-                assert incidence_matrix(n, k) == containment_oracle(
-                    (k - 2) // 2, k // 2, n
-                )
+        cases = [(n, k) for n in range(2, 8) for k in range(2, n + 1)] + [(14, 8)]
+        for n, k in cases:
+            assert incidence_matrix(n, k) == containment_oracle(
+                (k - 2) // 2, k // 2, n
+            )
 
     def test_configuration_member_counts(self):
         m = incidence_matrix(5, 4)

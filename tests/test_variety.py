@@ -1,11 +1,14 @@
 import math
 import random
+import time
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from isofractal import variety
 from isofractal.combinat import index_tuples
-from isofractal.gf import PrimeField, kernel_basis
+from isofractal.gf import PrimeField, kernel_basis, normalize_projective
 from isofractal.plucker import plucker_matrix
 from isofractal.variety import (
     BudgetExceededError,
@@ -134,11 +137,6 @@ class TestRationalPoints:
             assert found.points == oracle.points
             assert found.count == expected_count(n, k, q)
 
-    def test_mode_agreement_in_characteristic_two(self):
-        signed = rational_points(3, 3, 2, mode="signed")
-        unsigned = rational_points(3, 3, 2, mode="unsigned")
-        assert signed.points == unsigned.points
-
     def test_points_are_normalized_kernel_members(self):
         result = rational_points(2, 2, 3)
         pm = plucker_matrix(2, 2, signed=True)
@@ -154,10 +152,6 @@ class TestRationalPoints:
         assert err.value.required == 2**14
         assert "16384" in str(err.value)
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            rational_points(2, 2, 2, mode="both")
-
     def test_int64_limit_refused_before_enumeration(self):
         q = 2**31 - 1
         with pytest.raises(ValueError, match=r"2\*\*63") as err:
@@ -171,8 +165,78 @@ class TestRationalPoints:
         found = rational_points(4, 2, 2, budget=1 << 27)
         oracle = oracle_points(4, 2, 2, budget=1 << 27)
         assert found.count == expected_count(4, 2, 2) == 5355
-        assert oracle.examined == 10795
+        assert oracle.examined == 6004
         assert found.points == oracle.points
+
+
+def det_mod(rows, p):
+    """Determinant over GF(p) by elimination with row swaps."""
+    a = [row[:] for row in rows]
+    size = len(a)
+    det = 1
+    for c in range(size):
+        pivot = next((r for r in range(c, size) if a[r][c] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det = (det * a[c][c]) % p
+        inv = pow(a[c][c], p - 2, p)
+        for r in range(c + 1, size):
+            if a[r][c] % p:
+                factor = (a[r][c] * inv) % p
+                a[r] = [(x - factor * y) % p for x, y in zip(a[r], a[c])]
+    return det % p
+
+
+def reference_oracle(n, k, q):
+    """Every k-subspace by reduced echelon basis, kept when isotropic, then minors.
+
+    Returns the normalized points and the number of subspaces enumerated.  The
+    pairing is written out from its definition: +1 on (i, 2n+1-i) for i <= n.
+    """
+    field = PrimeField(q)
+    m = 2 * n
+
+    def pairing(x, y):
+        return sum(x[i] * y[m - 1 - i] - x[m - 1 - i] * y[i] for i in range(n))
+
+    col_combos = list(combinations(range(m), k))
+    points = set()
+    examined = 0
+    for pivots in combinations(range(m), k):
+        free_cells = [(i, j) for i in range(k) for j in range(pivots[i] + 1, m)
+                      if j not in pivots]
+        for values in product(range(q), repeat=len(free_cells)):
+            rows = [[0] * m for _ in range(k)]
+            for i, pc in enumerate(pivots):
+                rows[i][pc] = 1
+            for (i, j), v in zip(free_cells, values):
+                rows[i][j] = v
+            examined += 1
+            if any(pairing(rows[i], rows[j]) % q
+                   for i in range(k) for j in range(i + 1, k)):
+                continue
+            vec = [det_mod([[row[c] for c in cols] for row in rows], q)
+                   for cols in col_combos]
+            points.add(normalize_projective(vec, field))
+    return frozenset(points), examined
+
+
+# the points-ladder instances of the benchmark and the verify points suite
+REFERENCE_INSTANCES = [(2, 2, 2), (2, 2, 3), (2, 2, 5), (3, 2, 2), (3, 3, 2),
+                       (3, 2, 3), (3, 3, 3)]
+
+
+class TestOracleAgainstReference:
+    @pytest.mark.parametrize("n,k,q", REFERENCE_INSTANCES)
+    def test_same_points_as_full_enumeration(self, n, k, q):
+        points, examined = reference_oracle(n, k, q)
+        assert examined == subspace_count(2 * n, k, q)
+        result = oracle_points(n, k, q)
+        assert result.points == points
+        assert result.count == expected_count(n, k, q)
 
 
 class TestOraclePoints:
@@ -183,9 +247,31 @@ class TestOraclePoints:
             assert e12 in result.points
 
     def test_examined_counts_all_subspaces(self):
+        # 35 subspaces; the search visits 11 first rows and 15 complete bases
         result = oracle_points(2, 2, 2)
-        assert result.examined == 35
+        assert result.examined == 26
         assert result.count == 15
+
+    @pytest.mark.parametrize("n,k,q,nodes,count", [
+        (3, 3, 3, 1884, 1120),
+        (4, 3, 2, 16005, 11475),
+        (4, 4, 2, 5040, 2295),
+    ])
+    def test_nodes_and_counts_beyond_the_ladder(self, n, k, q, nodes, count):
+        result = oracle_points(n, k, q)
+        assert result.examined == nodes
+        assert result.count == expected_count(n, k, q) == count
+
+    @pytest.mark.slow
+    def test_four_four_two_equals_kernel_search(self):
+        found = rational_points(4, 4, 2, budget=1 << 43)
+        assert oracle_points(4, 4, 2).points == found.points
+
+    @pytest.mark.slow
+    def test_four_four_three_count(self):
+        result = oracle_points(4, 4, 3)
+        assert result.examined == 156256
+        assert result.count == expected_count(4, 4, 3) == 91840
 
     def test_oracle_points_satisfy_relations_and_kernel(self):
         n, k, q = 3, 3, 2
@@ -202,4 +288,32 @@ class TestOraclePoints:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError) as err:
             oracle_points(3, 3, 2, budget=10)
-        assert err.value.required == subspace_count(6, 3, 2)
+        # a lower bound: the nodes visited plus the one refused
+        assert err.value.required == 11
+        assert "at least 11" in str(err.value)
+        assert "echelon row 2 of 3" in str(err.value)
+        assert oracle_points(3, 3, 2, budget=281).examined == 281
+        with pytest.raises(BudgetExceededError):
+            oracle_points(3, 3, 2, budget=280)
+
+    def test_int64_limit_refused_before_the_field_is_built(self):
+        # q = 2**61 - 1 is prime; testing that by trial division would not finish
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=r"\(q-1\)\*\*2 < 2\*\*63") as err:
+            oracle_points(2, 2, 2**61 - 1)
+        assert not isinstance(err.value, BudgetExceededError)
+        assert time.perf_counter() - started < 1.0
+
+    def test_unnormalized_minor_vector_is_an_error(self, monkeypatch):
+        minors = variety._wedge_minors
+        monkeypatch.setattr(variety, "_wedge_minors",
+                            lambda bases, q: 2 * minors(bases, q) % q)
+        with pytest.raises(ArithmeticError, match="first nonzero"):
+            oracle_points(2, 2, 3)
+
+    def test_repeated_point_is_an_error(self, monkeypatch):
+        minors = variety._wedge_minors
+        monkeypatch.setattr(variety, "_wedge_minors",
+                            lambda bases, q: minors(bases[:1].repeat(len(bases), 0), q))
+        with pytest.raises(ArithmeticError, match="gave 1 points"):
+            oracle_points(2, 2, 3)
