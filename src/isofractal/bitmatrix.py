@@ -121,11 +121,17 @@ class BinaryMatrix:
         return len(self.ones) / (self.rows * self.cols)
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> BinaryMatrix:
-        """Induced submatrix; index order gives the new row/column order."""
-        rmap = {r: i for i, r in enumerate(row_indices)}
+        """Induced submatrix on distinct indices; index order gives the new order.
+
+        Walks the cached row adjacency of the selected rows only, so a slice
+        costs the ones of its own rows, not the weight of the whole matrix.
+        """
+        if row_indices and not (0 <= min(row_indices) and max(row_indices) < self.rows):
+            raise IndexError(f"row indices outside [0, {self.rows})")
         cmap = {c: j for j, c in enumerate(col_indices)}
+        adj = self._row_adj
         ones = frozenset(
-            (rmap[r], cmap[c]) for r, c in self.ones if r in rmap and c in cmap
+            (i, cmap[c]) for i, r in enumerate(row_indices) for c in adj[r] if c in cmap
         )
         return BinaryMatrix(len(row_indices), len(col_indices), ones)
 

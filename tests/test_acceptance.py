@@ -118,6 +118,9 @@ def test_criterion_05_decomposition():
         (4, 4): {(3, 2): 1, (2, 1): 24},
         (5, 4): {(4, 2): 1, (3, 1): 40},
         (7, 7): {(4, 3): 14, (3, 2): 280, (2, 1): 672},
+        (8, 7): {(3, 1): 1792, (4, 2): 448, (5, 3): 16},
+        (8, 8): {(2, 1): 1792, (3, 2): 1120, (4, 3): 112, (5, 4): 1},
+        (9, 9): {(2, 1): 4608, (3, 2): 4032, (4, 3): 672, (5, 4): 18},
     }
     for (n, k), census in expectations.items():
         case_start = time.perf_counter()
@@ -138,7 +141,7 @@ def test_criterion_05_decomposition():
             assert total_rows == 2002
             assert case_elapsed < 60.0, f"{case_elapsed:.2f}s"
     elapsed = time.perf_counter() - start
-    report(5, f"block decompositions verified on 5 instances ({elapsed:.2f}s)")
+    report(5, f"block decompositions verified on 8 instances ({elapsed:.2f}s)")
 
 
 def test_criterion_06_contraction_consistency():

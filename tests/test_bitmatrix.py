@@ -18,11 +18,19 @@ from isofractal.bitmatrix import (
     serialize,
     stack_identity_below,
 )
-from isofractal.plucker import plucker_matrix
+from isofractal.plucker import decompose, plucker_matrix
 
 
 def M(*rows):
     return BinaryMatrix.from_rows([[int(ch) for ch in row] for row in rows])
+
+
+def full_scan_submatrix(m, row_indices, col_indices):
+    """Induced submatrix by one scan over every one of ``m``, free of the row adjacency."""
+    rmap = {r: i for i, r in enumerate(row_indices)}
+    cmap = {c: j for j, c in enumerate(col_indices)}
+    ones = frozenset((rmap[r], cmap[c]) for r, c in m.ones if r in rmap and c in cmap)
+    return BinaryMatrix(len(row_indices), len(col_indices), ones)
 
 
 def bfs_components(m):
@@ -87,6 +95,27 @@ class TestBinaryMatrix:
         m = M("10", "01")
         flipped = m.submatrix([1, 0], [0, 1])
         assert flipped == M("01", "10")
+
+    def test_submatrix_matches_full_scan(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            rows = rng.randrange(0, 10)
+            cols = rng.randrange(0, 10)
+            density = rng.choice((0.0, 0.1, 0.3, 0.7))
+            m = BinaryMatrix(rows, cols, frozenset(
+                (r, c) for r in range(rows) for c in range(cols) if rng.random() < density
+            ))
+            row_sel = rng.sample(range(rows), rng.randrange(0, rows + 1))
+            col_sel = rng.sample(range(cols), rng.randrange(0, cols + 1))
+            assert m.submatrix(row_sel, col_sel) == full_scan_submatrix(m, row_sel, col_sel)
+        assert BinaryMatrix.zero(3, 4).submatrix([2, 0], [3]) == BinaryMatrix.zero(2, 1)
+        assert M("11").submatrix([], []) == BinaryMatrix.zero(0, 0)
+
+    def test_submatrix_rejects_rows_out_of_range(self):
+        with pytest.raises(IndexError):
+            M("10", "01").submatrix([-1], [0])
+        with pytest.raises(IndexError):
+            M("10", "01").submatrix([2], [0])
 
 
 class TestStackIdentityBelow:
@@ -173,10 +202,15 @@ class TestBipartiteComponents:
         assert witness is not None
 
     def test_matches_bfs_on_system_supports(self):
-        for n in range(2, 7):
-            for k in range(2, n + 1):
-                support = plucker_matrix(n, k).support
-                assert bipartite_components(support) == bfs_components(support), (n, k)
+        # an independent route to decompose's blocks, which are built from labels
+        cases = [(n, k) for n in range(2, 8) for k in range(2, n + 1)] + [(8, 8)]
+        for n, k in cases:
+            support = plucker_matrix(n, k).support
+            report = decompose(n, k)
+            built = ([(b.rows, b.cols) for b in report.blocks],
+                     report.zero_rows, report.zero_columns)
+            assert bipartite_components(support) == built, (n, k)
+            assert bfs_components(support) == built, (n, k)
 
     def test_matches_bfs_on_random_sparse(self):
         rng = random.Random(5)

@@ -1,8 +1,11 @@
+import hashlib
 import math
 import random
 
 import pytest
 
+from isofractal import cli
+from isofractal.bitmatrix import bipartite_components
 from isofractal.combinat import index_tuples, pair_free_part
 from isofractal.fractal import fractal_matrix
 from isofractal.gf import FieldMatrix, PrimeField, kernel_basis, rref
@@ -12,6 +15,31 @@ from isofractal.plucker import (
     decompose,
     plucker_matrix,
 )
+
+# sha256 of the `decompose --out` text for every 2 <= k <= n <= 7
+REPORT_SHA256 = {
+    (2, 2): "890b2533dd130ee62e4d73e8ae80fe0d4d91898031648e0ff46b079d87c9b6cf",
+    (3, 2): "91dc0eb1c325ae8a5d0e70a8ae62a0a334052250eb5e991d9cb5bb278e80c375",
+    (3, 3): "c66c2886191b0b10726da9e9285d611d179ae42ef170fb2732a62ea70d0bdcb0",
+    (4, 2): "8aeccd8eb8e2c100d4f3e8b9b0f6dbf801491e9f7ef5d333b9eaf9d77febfa8a",
+    (4, 3): "d1ae3457bf5fb8ad77e63f60b3d71d4e173acd3a417dc7512296a340c362b562",
+    (4, 4): "5fa4b3793724804b1fd26ff3ebf0b5918a3dfad2a8f0acd3473050ad94819a0f",
+    (5, 2): "ec07e4623faf67f2b786fb5ebfc0242c29ef1d7014b1be1d9ace666f0057cab2",
+    (5, 3): "b519da41d0dffb8173427364d780d6ba92b0973cb9578420d5c183de71cd0410",
+    (5, 4): "d7c03bd8d26e366a936282fab50b017ebc83daeba3560017c02bbb7358284707",
+    (5, 5): "4cfdd08194b50ca8c070152e0b31c19a7dd832fd33b04af29a749b38845acbc6",
+    (6, 2): "895b3e1419828712bf389af0d89d03a014d6dcf987787d91277e22d70f8d15bd",
+    (6, 3): "266322afdd69845fa787d5a636e971e8916b5b5910457e88429a33ffd112a881",
+    (6, 4): "075b4eaded5bff8222ff831c92485b43a620ef5cf403a7ffe4595cf4194c3c03",
+    (6, 5): "c72ce3ca64aff3e08d4b34f5f0cb6bd5dd3137152f74355c7d5f27cf966a2671",
+    (6, 6): "2327a2ece9fb79353bde872ad9f3de79a59baf4e2e85be88803265dd29575710",
+    (7, 2): "c9dad4a799e0d1abb6db299071b90dce2b7f8a2d211a12438d7996051b6a3a03",
+    (7, 3): "c05ef79bb8a5363746f7f980c8117e4c4dd8bb43f9f73accb55804a1757f944b",
+    (7, 4): "5bc302067efdfab135bc9fa5b2e1f52862265c9bf1e91a63131797993ccf9b22",
+    (7, 5): "d63af2d09bb337f285532a0b2a389a6b5db517a877b2142a861640b658dfd8c6",
+    (7, 6): "d89e3bf3eb1b9f9c604b6249a89b35f4acfbee851bf3f7879bf41844383236bc",
+    (7, 7): "3e439ea15c8eddc3dd88e99717f2ead9137c5d2e2d66d1dcbd5d6bdf821aa022",
+}
 
 
 def gram_matrix(n):
@@ -194,21 +222,39 @@ class TestDecompose:
         assert len(report.zero_columns) == 80
         assert report.flags == ()
 
-    def test_blocks_partition_and_witnesses_verify(self):
-        pm = plucker_matrix(4, 4)
-        report = decompose(4, 4)
-        seen_rows = set(report.zero_rows)
-        seen_cols = set(report.zero_columns)
-        for block in report.blocks:
-            assert not (set(block.rows) & seen_rows)
-            assert not (set(block.cols) & seen_cols)
-            seen_rows |= set(block.rows)
-            seen_cols |= set(block.cols)
-            sub = pm.support.submatrix(block.rows, block.cols)
-            target = fractal_matrix(block.fractal.k, block.fractal.ell)
-            assert block.witness.apply(sub) == target
-        assert seen_rows == set(range(pm.support.rows))
-        assert seen_cols == set(range(pm.support.cols))
+    def test_blocks_partition_and_equal_family_members(self):
+        for n, k in [(4, 4), (7, 6), (7, 7)]:
+            pm = plucker_matrix(n, k)
+            report = decompose(n, k)
+            seen_rows = set(report.zero_rows)
+            seen_cols = set(report.zero_columns)
+            weight = 0
+            for block in report.blocks:
+                assert not (set(block.rows) & seen_rows)
+                assert not (set(block.cols) & seen_cols)
+                seen_rows |= set(block.rows)
+                seen_cols |= set(block.cols)
+                sub = pm.support.submatrix(block.rows, block.cols)
+                assert sub == fractal_matrix(block.fractal.k, block.fractal.ell), (n, k)
+                weight += sub.weight
+            assert seen_rows == set(range(pm.support.rows))
+            assert seen_cols == set(range(pm.support.cols))
+            assert weight == pm.support.weight
+            assert [b.rows[0] for b in report.blocks] == sorted(b.rows[0] for b in report.blocks)
+
+    def test_every_family_member_is_one_component(self):
+        # with the component route in test_bitmatrix, this is why a block is a component
+        for a in range(1, 12):
+            for b in range(1, 13 - a):
+                m = fractal_matrix(a, b)
+                comps, zero_rows, zero_cols = bipartite_components(m)
+                assert comps == [(tuple(range(m.rows)), tuple(range(m.cols)))], (a, b)
+                assert zero_rows == () and zero_cols == ()
+
+    def test_report_bytes_pinned(self):
+        for (n, k), digest in REPORT_SHA256.items():
+            text = cli._json_text(decompose(n, k).to_json_dict())
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, k)
 
     def test_kernel_dimension_bookkeeping(self):
         for n, k in [(2, 2), (3, 2), (3, 3), (4, 3), (5, 4)]:
@@ -225,6 +271,6 @@ class TestDecompose:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            decompose(8, 8)
+            decompose(10, 10)
         with pytest.raises(ValueError):
             decompose(3, 2 + 3)

@@ -30,7 +30,8 @@ def test_decomposition_survey():
     lines = run_script("decomposition_survey.py", "--n-max", "3")
     assert any(
         line.startswith("(n=3, k=3)  6 x A(2,1); 8 zero columns;"
-                        " kernel dim 14 over GF(2), 14 over GF(3)")
+                        " kernel dim 14 over GF(2), 14 over GF(3)  [decompose ")
+        and ", kernel " in line
         for line in lines
     )
 
