@@ -1,9 +1,12 @@
 """Sparse (0,1)-matrices and the assembly operations used throughout the package.
 
-A :class:`BinaryMatrix` is an immutable coordinate set with explicit
-dimensions.  The matrices handled here are very sparse (a few ones per row),
-so the coordinate representation with cached row/column adjacency beats dense
-storage; dense rows are materialized only for the ascii text form.
+A :class:`BinaryMatrix` is an immutable list of rows with explicit dimensions:
+row r is the ascending tuple of the columns holding a one in row r.  The
+matrices handled here are very sparse (a few ones per row) and every one of
+them is assembled row block by row block, so the row-sparse form is both the
+natural build target and the order every text form is written in; the column
+adjacency is derived once on first use, and dense rows are materialized only
+for the ascii text form.
 
 Besides the value type this module provides:
 
@@ -23,121 +26,148 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from operator import lt
+from typing import Iterable, Sequence
 
 Coord = tuple[int, int]
+Row = tuple[int, ...]
 
 FORMATS = ("matrixmarket", "alist", "ascii")
 
 
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """An immutable (0,1)-matrix stored as the set of its 1-coordinates (0-based)."""
+    """An immutable (0,1)-matrix stored row-sparse (0-based).
+
+    ``row_adj[r]`` is the strictly increasing tuple of the columns of the ones
+    in row r.  The constructor checks each row: a tuple whose first and last
+    entries lie in ``[0, cols)`` and whose entries strictly increase.
+    """
 
     rows: int
     cols: int
-    ones: frozenset[Coord]
+    row_adj: tuple[Row, ...]
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError(f"negative dimensions {self.rows}x{self.cols}")
-        for r, c in self.ones:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"coordinate ({r}, {c}) outside {self.rows}x{self.cols}")
+        if type(self.row_adj) is not tuple or len(self.row_adj) != self.rows:
+            raise ValueError(f"expected a tuple of {self.rows} rows")
+        cols = self.cols
+        for r, row in enumerate(self.row_adj):
+            if type(row) is not tuple or (row and (
+                    row[0] < 0 or row[-1] >= cols or not all(map(lt, row, row[1:])))):
+                raise ValueError(f"row {r} is not an increasing tuple of columns in [0, {cols})")
+
+    @classmethod
+    def from_coords(cls, rows: int, cols: int, coords: Iterable[Coord]) -> BinaryMatrix:
+        """The matrix with ones at the given (row, column) pairs; repeats count once."""
+        adj: list[list[int]] = [[] for _ in range(rows)]
+        for r, c in coords:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"coordinate ({r}, {c}) outside {rows}x{cols}")
+            adj[r].append(c)
+        return cls(rows, cols, tuple(tuple(sorted(set(a))) for a in adj))
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]], cols: int | None = None) -> BinaryMatrix:
         nrows = len(data)
         if cols is None:
             cols = len(data[0]) if data else 0
-        ones = set()
+        adj = []
         for r, row in enumerate(data):
             if len(row) != cols:
                 raise ValueError(f"ragged row {r}: {len(row)} entries, expected {cols}")
+            ones = []
             for c, v in enumerate(row):
                 if v not in (0, 1):
                     raise ValueError(f"entry {v!r} at ({r}, {c}) is not 0 or 1")
                 if v:
-                    ones.add((r, c))
-        return cls(nrows, cols, frozenset(ones))
+                    ones.append(c)
+            adj.append(tuple(ones))
+        return cls(nrows, cols, tuple(adj))
 
     @classmethod
     def identity(cls, n: int) -> BinaryMatrix:
-        return cls(n, n, frozenset((i, i) for i in range(n)))
+        return cls(n, n, tuple((i,) for i in range(n)))
 
     @classmethod
     def all_ones(cls, rows: int, cols: int) -> BinaryMatrix:
-        return cls(rows, cols, frozenset((r, c) for r in range(rows) for c in range(cols)))
+        return cls(rows, cols, (tuple(range(cols)),) * rows)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> BinaryMatrix:
-        return cls(rows, cols, frozenset())
+        return cls(rows, cols, ((),) * rows)
 
     @cached_property
-    def _row_adj(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.rows)]
-        for r, c in sorted(self.ones):
-            adj[r].append(c)
-        return tuple(tuple(a) for a in adj)
-
-    @cached_property
-    def _col_adj(self) -> tuple[tuple[int, ...], ...]:
+    def _col_adj(self) -> tuple[Row, ...]:
         adj: list[list[int]] = [[] for _ in range(self.cols)]
-        for r, c in sorted(self.ones):
-            adj[c].append(r)
-        return tuple(tuple(a) for a in adj)
+        for r, row in enumerate(self.row_adj):
+            for c in row:
+                adj[c].append(r)
+        return tuple(map(tuple, adj))
 
     @cached_property
-    def _vertex_adj(self) -> tuple[tuple[int, ...], ...]:
+    def _vertex_adj(self) -> tuple[Row, ...]:
         """Neighbours of each vertex: rows ``0..rows-1``, then columns shifted by ``rows``."""
-        return tuple(tuple(self.rows + c for c in a) for a in self._row_adj) + self._col_adj
+        return tuple(tuple(self.rows + c for c in a) for a in self.row_adj) + self._col_adj
 
-    def row_support(self, r: int) -> tuple[int, ...]:
-        return self._row_adj[r]
+    def row_support(self, r: int) -> Row:
+        return self.row_adj[r]
 
-    def col_support(self, c: int) -> tuple[int, ...]:
+    def col_support(self, c: int) -> Row:
         return self._col_adj[c]
 
     def row_weight(self, r: int) -> int:
-        return len(self._row_adj[r])
+        return len(self.row_adj[r])
 
     def col_weight(self, c: int) -> int:
         return len(self._col_adj[c])
 
     def row_weights(self) -> list[int]:
-        return [len(a) for a in self._row_adj]
+        return [len(a) for a in self.row_adj]
 
     def col_weights(self) -> list[int]:
         return [len(a) for a in self._col_adj]
 
-    @property
+    @cached_property
     def weight(self) -> int:
-        return len(self.ones)
+        return sum(map(len, self.row_adj))
 
     @property
     def density(self) -> float:
         if self.rows == 0 or self.cols == 0:
             return 0.0
-        return len(self.ones) / (self.rows * self.cols)
+        return self.weight / (self.rows * self.cols)
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> BinaryMatrix:
         """Induced submatrix on distinct indices; index order gives the new order.
 
-        Walks the cached row adjacency of the selected rows only, so a slice
-        costs the ones of its own rows, not the weight of the whole matrix.
+        Walks the selected rows only, so a slice costs the ones of its own
+        rows, not the weight of the whole matrix.  Indices outside the matrix
+        raise ``IndexError``, repeated ones ``ValueError``.
         """
         if row_indices and not (0 <= min(row_indices) and max(row_indices) < self.rows):
             raise IndexError(f"row indices outside [0, {self.rows})")
+        if col_indices and not (0 <= min(col_indices) and max(col_indices) < self.cols):
+            raise IndexError(f"column indices outside [0, {self.cols})")
         cmap = {c: j for j, c in enumerate(col_indices)}
-        adj = self._row_adj
-        ones = frozenset(
-            (i, cmap[c]) for i, r in enumerate(row_indices) for c in adj[r] if c in cmap
-        )
-        return BinaryMatrix(len(row_indices), len(col_indices), ones)
+        if len(cmap) != len(col_indices) or len(set(row_indices)) != len(row_indices):
+            raise ValueError("repeated row or column indices")
+        adj = self.row_adj
+        kept = [tuple(cmap[c] for c in adj[r] if c in cmap) for r in row_indices]
+        if any(map(lt, col_indices[1:], col_indices)):
+            kept = [tuple(sorted(row)) for row in kept]
+        return BinaryMatrix(len(kept), len(cmap), tuple(kept))
 
     def to_text_rows(self) -> list[str]:
-        return ["".join("1" if (r, c) in self.ones else "0" for c in range(self.cols))
-                for r in range(self.rows)]
+        out = []
+        for row in self.row_adj:
+            chars = ["0"] * self.cols
+            for c in row:
+                chars[c] = "1"
+            out.append("".join(chars))
+        return out
 
     def __str__(self) -> str:
         return "\n".join(self.to_text_rows())
@@ -163,27 +193,28 @@ class PermutationPair:
     def apply(self, m: BinaryMatrix) -> BinaryMatrix:
         if len(self.row_perm) != m.rows or len(self.col_perm) != m.cols:
             raise ValueError("permutation sizes do not match the matrix")
-        return BinaryMatrix(
-            m.rows,
-            m.cols,
-            frozenset((self.row_perm[r], self.col_perm[c]) for r, c in m.ones),
-        )
+        if set(self.row_perm) != set(range(m.rows)) or set(self.col_perm) != set(range(m.cols)):
+            raise ValueError("row_perm and col_perm must be permutations")
+        col_of = self.col_perm.__getitem__
+        adj: list[Row] = [()] * m.rows
+        for r, row in zip(self.row_perm, m.row_adj):
+            adj[r] = tuple(sorted(map(col_of, row)))
+        return BinaryMatrix(m.rows, m.cols, tuple(adj))
 
 
 def stack_identity_below(m: BinaryMatrix) -> BinaryMatrix:
     """Paste the cols x cols identity under ``m``."""
     if m.cols < 1:
         raise ValueError("cannot stack an identity under a zero-column matrix")
-    coords = set(m.ones)
-    coords.update((m.rows + j, j) for j in range(m.cols))
-    return BinaryMatrix(m.rows + m.cols, m.cols, frozenset(coords))
+    return BinaryMatrix(m.rows + m.cols, m.cols, m.row_adj + tuple((j,) for j in range(m.cols)))
 
 
 def paste_right(parts: Sequence[BinaryMatrix]) -> BinaryMatrix:
     """Concatenate matrices side by side, aligning every part at the bottom row.
 
     The first part must be the tallest and heights must be non-increasing;
-    positions above a shorter part are zero.
+    positions above a shorter part are zero.  Parts are appended left to
+    right, so every row stays in ascending column order.
     """
     if not parts:
         raise ValueError("paste_right needs at least one part")
@@ -194,25 +225,25 @@ def paste_right(parts: Sequence[BinaryMatrix]) -> BinaryMatrix:
                 f"part {i} is taller than part {i - 1} ({heights[i]} > {heights[i - 1]})"
             )
     total_rows = heights[0]
-    coords: set[Coord] = set()
+    adj: list[list[int]] = [[] for _ in range(total_rows)]
     offset = 0
     for p in parts:
-        shift = total_rows - p.rows
-        coords.update((r + shift, c + offset) for r, c in p.ones)
+        shift = offset.__add__
+        for r, row in enumerate(p.row_adj, total_rows - p.rows):
+            adj[r].extend(map(shift, row))
         offset += p.cols
-    return BinaryMatrix(total_rows, offset, frozenset(coords))
+    return BinaryMatrix(total_rows, offset, tuple(map(tuple, adj)))
 
 
 def direct_sum(parts: Sequence[BinaryMatrix]) -> BinaryMatrix:
     """Block-diagonal assembly; the empty sum is the 0x0 matrix."""
-    row_off = 0
     col_off = 0
-    coords: set[Coord] = set()
+    adj: list[Row] = []
     for p in parts:
-        coords.update((row_off + r, col_off + c) for r, c in p.ones)
-        row_off += p.rows
+        shift = col_off.__add__
+        adj.extend(tuple(map(shift, row)) for row in p.row_adj)
         col_off += p.cols
-    return BinaryMatrix(row_off, col_off, frozenset(coords))
+    return BinaryMatrix(len(adj), col_off, tuple(adj))
 
 
 def row_components(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
@@ -257,7 +288,7 @@ def bipartite_components(
     zero_cols = tuple(c for c in range(m.cols) if not m.col_support(c))
     components = [
         (tuple(rows), tuple(sorted({c for r in rows for c in m.row_support(r)})))
-        for rows in row_components(m._row_adj, m.cols)
+        for rows in row_components(m.row_adj, m.cols)
     ]
     return components, zero_rows, zero_cols
 
@@ -305,7 +336,7 @@ def _search(a: BinaryMatrix, b: BinaryMatrix, ca: list[int], cb: list[int]
         vertex_of = {color: w for w, color in enumerate(cb)}
         witness = PermutationPair(tuple(vertex_of[color] for color in ca[: a.rows]),
                                   tuple(vertex_of[color] - a.rows for color in ca[a.rows:]))
-        return witness if witness.apply(a).ones == b.ones else None
+        return witness if witness.apply(a) == b else None
     target = min(multi)[1]
     fresh = max(ca) + 1
     v = ca.index(target)
@@ -325,7 +356,7 @@ def permutation_equivalent(a: BinaryMatrix, b: BinaryMatrix) -> PermutationPair 
     """
     if (a.rows, a.cols) != (b.rows, b.cols):
         return None
-    if a.ones == b.ones:
+    if a == b:
         return PermutationPair.identity(a.rows, a.cols)
     if sorted(a.row_weights()) != sorted(b.row_weights()):
         return None
@@ -370,8 +401,8 @@ MATRIXMARKET_HEADER = "%%MatrixMarket matrix coordinate integer general"
 
 
 def _to_matrixmarket(m: BinaryMatrix) -> str:
-    lines = [MATRIXMARKET_HEADER, f"{m.rows} {m.cols} {len(m.ones)}"]
-    lines.extend(f"{r + 1} {c + 1} 1" for r, c in sorted(m.ones))
+    lines = [MATRIXMARKET_HEADER, f"{m.rows} {m.cols} {m.weight}"]
+    lines.extend(f"{r} {c + 1} 1" for r, row in enumerate(m.row_adj, 1) for c in row)
     return "\n".join(lines) + "\n"
 
 
@@ -394,7 +425,9 @@ def _from_matrixmarket(text: str) -> BinaryMatrix:
         rows, cols, nnz = (int(p) for p in parts)
     except ValueError:
         raise ParseError(idx + 1, "size line fields must be integers") from None
-    coords = set()
+    if rows < 0 or cols < 0:
+        raise ParseError(idx + 1, f"negative dimensions {rows}x{cols}")
+    coords = []
     lineno = idx + 1
     for line in lines[idx + 1:]:
         lineno += 1
@@ -412,21 +445,23 @@ def _from_matrixmarket(text: str) -> BinaryMatrix:
             raise ParseError(lineno, f"entry value must be 1, got {v}")
         if not (1 <= r <= rows and 1 <= c <= cols):
             raise ParseError(lineno, f"coordinate ({r}, {c}) outside {rows}x{cols}")
-        coords.add((r - 1, c - 1))
+        coords.append((r - 1, c - 1))
+    m = BinaryMatrix.from_coords(rows, cols, coords)
+    if m.weight != nnz:
+        raise ParseError(lineno, f"declared {nnz} entries, found {m.weight}")
     if len(coords) != nnz:
-        raise ParseError(lineno, f"declared {nnz} entries, found {len(coords)}")
-    return BinaryMatrix(rows, cols, frozenset(coords))
+        raise ParseError(lineno, f"declared {nnz} entries, found {len(coords)} entry lines")
+    return m
 
 
 def _to_alist(m: BinaryMatrix) -> str:
-    col_lists = [m.col_support(c) for c in range(m.cols)]
-    row_lists = [m.row_support(r) for r in range(m.rows)]
-    max_col = max((len(x) for x in col_lists), default=0)
-    max_row = max((len(x) for x in row_lists), default=0)
+    col_lists = m._col_adj
+    row_lists = m.row_adj
+    max_col = max(map(len, col_lists), default=0)
+    max_row = max(map(len, row_lists), default=0)
 
-    def padded(indices: tuple[int, ...], width: int) -> str:
-        vals = [i + 1 for i in indices] + [0] * (width - len(indices))
-        return " ".join(str(v) for v in vals)
+    def padded(indices: Row, width: int) -> str:
+        return " ".join([str(i + 1) for i in indices] + ["0"] * (width - len(indices)))
 
     lines = [
         f"{m.cols} {m.rows}",
@@ -463,7 +498,7 @@ def _from_alist(text: str) -> BinaryMatrix:
     expected = 4 + cols + rows
     if len(lines) < expected:
         raise ParseError(len(lines), f"expected {expected} lines, got {len(lines)}")
-    coords = set()
+    by_row: list[list[int]] = [[] for _ in range(rows)]
     for c in range(cols):
         lineno = 5 + c
         entries = [v for v in _ints(lines[4 + c], lineno) if v != 0]
@@ -473,22 +508,25 @@ def _from_alist(text: str) -> BinaryMatrix:
         for v in entries:
             if not 1 <= v <= rows:
                 raise ParseError(lineno, f"row index {v} outside [1, {rows}]")
-            coords.add((v - 1, c))
+            by_row[v - 1].append(c)
+    adj = []
     for r in range(rows):
         lineno = 5 + cols + r
         entries = [v for v in _ints(lines[4 + cols + r], lineno) if v != 0]
         if len(entries) != row_weights[r]:
             raise ParseError(lineno, f"row {r + 1} lists {len(entries)} columns, "
                                      f"weight says {row_weights[r]}")
+        listed = set(by_row[r])
         for v in entries:
             if not 1 <= v <= cols:
                 raise ParseError(lineno, f"column index {v} outside [1, {cols}]")
-            if (r, v - 1) not in coords:
+            if v - 1 not in listed:
                 raise ParseError(lineno, f"entry ({r + 1}, {v}) missing from column lists")
+        adj.append(tuple(sorted(listed)))
     total = sum(col_weights)
-    if total != len(coords) or total != sum(row_weights):
+    if total != sum(map(len, adj)) or total != sum(row_weights):
         raise ParseError(4, "row and column weight totals disagree")
-    return BinaryMatrix(rows, cols, frozenset(coords))
+    return BinaryMatrix(rows, cols, tuple(adj))
 
 
 def _to_ascii(m: BinaryMatrix) -> str:
@@ -504,13 +542,15 @@ def _from_ascii(text: str) -> BinaryMatrix:
     if not lines:
         return BinaryMatrix.zero(0, 0)
     cols = len(lines[0])
-    coords = set()
+    adj = []
     for r, line in enumerate(lines):
         if len(line) != cols:
             raise ParseError(r + 1, f"row length {len(line)} differs from {cols}")
+        row = []
         for c, ch in enumerate(line):
             if ch == "1":
-                coords.add((r, c))
+                row.append(c)
             elif ch != "0":
                 raise ParseError(r + 1, f"unexpected character {ch!r}")
-    return BinaryMatrix(len(lines), cols, frozenset(coords))
+        adj.append(tuple(row))
+    return BinaryMatrix(len(lines), cols, tuple(adj))

@@ -103,10 +103,10 @@ def _cmd_plucker(args: argparse.Namespace) -> int:
     if args.signed:
         if args.format != "matrixmarket":
             raise ValueError("--signed output needs --format matrixmarket")
-        lines = [MATRIXMARKET_HEADER, f"{pm.support.rows} {pm.support.cols} {len(pm.signs)}"]
-        lines.extend(
-            f"{i + 1} {j + 1} {pm.signs[(i, j)]}" for i, j in sorted(pm.signs)
-        )
+        rows = pm.signed_rows
+        lines = [MATRIXMARKET_HEADER,
+                 f"{len(rows)} {len(pm.col_labels)} {sum(map(len, rows))}"]
+        lines.extend(f"{i} {j + 1} {sign}" for i, row in enumerate(rows, 1) for j, sign in row)
         _write_text(args.out, "\n".join(lines) + "\n")
     else:
         _write_text(args.out, serialize(pm.support, args.format))

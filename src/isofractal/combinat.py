@@ -17,6 +17,7 @@ part of their support.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -78,14 +79,19 @@ def insert_pair_with_sign(
     validate_index_tuple(base, 2 * n)
     if not 1 <= i <= n:
         raise ValueError(f"pair index {i} outside [1, {n}]")
-    lo, hi = i, partner(i, n)
-    supp = set(base)
-    if lo in supp or hi in supp:
+    return _insert_pair(base, i, partner(i, n))
+
+
+def _insert_pair(base: IndexTuple, lo: int, hi: int) -> tuple[IndexTuple, int] | None:
+    """:func:`insert_pair_with_sign` without the argument checks.
+
+    ``base`` must be strictly increasing and ``lo < hi`` the pair's members.
+    """
+    if lo in base or hi in base:
         return None
-    merged = tuple(sorted(base + (lo, hi)))
-    a = sum(1 for e in base if e < lo)
-    b = sum(1 for e in base if e < hi)
-    return merged, (-1 if (a + b) % 2 else 1)
+    a = bisect_left(base, lo)
+    b = bisect_left(base, hi)
+    return base[:a] + (lo,) + base[a:b] + (hi,) + base[b:], (-1 if (a + b) % 2 else 1)
 
 
 def pair_free_part(t: IndexTuple, n: int) -> IndexTuple:

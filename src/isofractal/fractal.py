@@ -66,11 +66,10 @@ def fractal_matrix_blockwise(k: int, ell: int) -> BinaryMatrix:
         return BinaryMatrix.all_ones(ell, 1)
     top = fractal_matrix_blockwise(k, ell - 1)
     right = fractal_matrix_blockwise(k - 1, ell)
-    ident = math.comb(k + ell - 2, ell - 1)
-    coords = set(top.ones)
-    coords.update((top.rows + i, i) for i in range(ident))
-    coords.update((top.rows + r, top.cols + c) for r, c in right.ones)
-    return BinaryMatrix(top.rows + right.rows, top.cols + right.cols, frozenset(coords))
+    # the identity block is square, C(k+ell-2, ell-1) = top.cols = right.rows
+    shift = top.cols.__add__
+    bottom = tuple((i,) + tuple(map(shift, row)) for i, row in enumerate(right.row_adj))
+    return BinaryMatrix(top.rows + right.rows, top.cols + right.cols, top.row_adj + bottom)
 
 
 def _block_recovery_ok(m: BinaryMatrix, k: int, ell: int) -> bool:

@@ -16,7 +16,7 @@ block structure of the matched recursive matrix reveals itself row by row.
 
 from __future__ import annotations
 
-from .bitmatrix import BinaryMatrix, permutation_equivalent
+from .bitmatrix import BinaryMatrix, PermutationPair, permutation_equivalent
 from .combinat import IndexTuple, index_tuples, rank
 from .fractal import fractal_matrix
 
@@ -36,13 +36,13 @@ def incidence_matrix(n: int, k: int) -> BinaryMatrix:
     low = (k - 2) // 2
     row_labels = index_tuples(low, n)
     col_index = {b: j for j, b in enumerate(index_tuples(low + 1, n))}
-    ones = frozenset(
-        (i, col_index[tuple(sorted(a + (e,)))])
-        for i, a in enumerate(row_labels)
-        for e in range(1, n + 1)
-        if e not in a
+    # extending a label by a larger element gives a lexicographically larger
+    # column label, so each row comes out in ascending column order
+    adj = tuple(
+        tuple(col_index[tuple(sorted(a + (e,)))] for e in range(1, n + 1) if e not in a)
+        for a in row_labels
     )
-    return BinaryMatrix(len(row_labels), len(col_index), ones)
+    return BinaryMatrix(len(row_labels), len(col_index), adj)
 
 
 def verify_configuration(n: int, k: int) -> dict:
@@ -166,11 +166,7 @@ def verify_incidence_fractal_match(m: int, n_max: int = 10) -> dict:
     col_perm = _column_only_witness(tri_matrix, target)
     triangle_ok = False
     if col_perm is not None:
-        moved = BinaryMatrix(
-            tri_matrix.rows,
-            tri_matrix.cols,
-            frozenset((row, col_perm[c]) for row, c in tri_matrix.ones),
-        )
+        moved = PermutationPair(tuple(range(tri_matrix.rows)), col_perm).apply(tri_matrix)
         triangle_ok = moved == target
 
     sweep = []

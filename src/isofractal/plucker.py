@@ -11,7 +11,10 @@ exist side by side:
 
 The two modes share their support, hence all support-level structure (weights,
 zero columns, block decomposition) is mode independent, while the kernels
-differ away from characteristic 2.  ``decompose`` builds the block structure
+differ away from characteristic 2.  A :class:`PluckerMatrix` stores each row
+once, as ``(column, sign)`` pairs in ascending column order (the layout of
+``FieldMatrix.nonzeros``); the 0/1 support and the sign of each entry are
+views derived from those rows.  ``decompose`` builds the block structure
 of the support from the pair-free parts of the labels, one block per cell of
 the row partition, and checks each block against its member of the recursive
 family bit for bit, with no component search and no equivalence search.
@@ -21,14 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bitmatrix import BinaryMatrix
 # Unused here; the benchmark's traced passes rebind these two module attributes.
 from .bitmatrix import bipartite_components, permutation_equivalent  # noqa: F401
 from .combinat import (
     IndexTuple,
+    _insert_pair,
     index_tuples,
-    insert_pair_with_sign,
     pair_free_part,
     partner,
     row_partition,
@@ -71,60 +75,79 @@ class SymplecticForm:
 
 @dataclass(frozen=True)
 class PluckerMatrix:
-    """Coefficient matrix of the pair-contraction forms, support and signs together."""
+    """Coefficient matrix of the pair-contraction forms, stored row-sparse.
+
+    ``signed_rows[i]`` holds row i as ``(column, sign)`` pairs in ascending
+    column order, the layout of ``FieldMatrix.nonzeros``; the sign is the
+    reordering sign of the pair contraction and is the coefficient only when
+    ``signed`` is set (otherwise every coefficient is +1).  ``support`` and
+    ``signs`` are views derived from the rows on first read.
+    """
 
     n: int
     k: int
     signed: bool
-    support: BinaryMatrix
-    signs: dict[tuple[int, int], int]
+    signed_rows: tuple[tuple[tuple[int, int], ...], ...]
     row_labels: tuple[IndexTuple, ...]
     col_labels: tuple[IndexTuple, ...]
 
+    @cached_property
+    def support(self) -> BinaryMatrix:
+        """The 0/1 pattern of the rows."""
+        return BinaryMatrix(
+            len(self.row_labels),
+            len(self.col_labels),
+            tuple(tuple(j for j, _ in row) for row in self.signed_rows),
+        )
+
+    @cached_property
+    def signs(self) -> dict[tuple[int, int], int]:
+        """The reordering sign of each entry, keyed by (row, column)."""
+        return {(i, j): s for i, row in enumerate(self.signed_rows) for j, s in row}
+
+    def _coefficient_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        if self.signed:
+            return self.signed_rows
+        return tuple(tuple((j, 1) for j, _ in row) for row in self.signed_rows)
+
     def field_matrix(self, field: PrimeField) -> FieldMatrix:
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.support.rows)]
-        for (i, j), sign in self.signs.items():
-            rows[i].append((j, sign if self.signed else 1))
-        return FieldMatrix.from_nonzeros(field, rows, self.support.cols)
+        return FieldMatrix.from_nonzeros(field, self._coefficient_rows(), len(self.col_labels))
 
     def apply(self, w: list[int] | FieldVector, field: PrimeField) -> FieldVector:
         """Sparse matrix-vector product over GF(p)."""
-        if len(w) != self.support.cols:
-            raise ValueError(f"vector length {len(w)} != {self.support.cols} columns")
+        if len(w) != len(self.col_labels):
+            raise ValueError(f"vector length {len(w)} != {len(self.col_labels)} columns")
         p = field.p
-        out = [0] * self.support.rows
-        for (i, j), sign in self.signs.items():
-            coeff = sign if self.signed else 1
-            out[i] = (out[i] + coeff * w[j]) % p
-        return tuple(out)
+        return tuple(sum(c * w[j] for j, c in row) % p for row in self._coefficient_rows())
 
 
 def plucker_matrix(n: int, k: int, signed: bool = False) -> PluckerMatrix:
     """Build the coefficient matrix, rows and columns in lexicographic order.
 
     Row i, for the i-th (k-2)-tuple, has one entry per basis pair disjoint
-    from the tuple, at the column of the merged k-tuple.
+    from the tuple, at the column of the merged k-tuple.  Inserting the pairs
+    in the order of their smaller member gives lexicographically increasing
+    merged tuples, so each row comes out in ascending column order.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     row_labels = tuple(index_tuples(k - 2, 2 * n))
     col_labels = tuple(index_tuples(k, 2 * n))
     col_index = {t: j for j, t in enumerate(col_labels)}
-    signs: dict[tuple[int, int], int] = {}
-    for i, base in enumerate(row_labels):
-        for pair_idx in range(1, n + 1):
-            merged_sign = insert_pair_with_sign(base, pair_idx, n)
-            if merged_sign is None:
-                continue
-            merged, sign = merged_sign
-            signs[(i, col_index[merged])] = sign
-    support = BinaryMatrix(len(row_labels), len(col_labels), frozenset(signs))
+    pairs = [(i, partner(i, n)) for i in range(1, n + 1)]
+    rows = []
+    for base in row_labels:
+        row = []
+        for lo, hi in pairs:
+            merged_sign = _insert_pair(base, lo, hi)
+            if merged_sign is not None:
+                row.append((col_index[merged_sign[0]], merged_sign[1]))
+        rows.append(tuple(row))
     return PluckerMatrix(
         n=n,
         k=k,
         signed=signed,
-        support=support,
-        signs=signs,
+        signed_rows=tuple(rows),
         row_labels=row_labels,
         col_labels=col_labels,
     )

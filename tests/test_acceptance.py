@@ -206,7 +206,7 @@ def test_criterion_09_serialization_roundtrips():
             for c in range(cols)
             if rng.random() < 0.25
         }
-        matrices.append(BinaryMatrix(rows, cols, frozenset(coords)))
+        matrices.append(BinaryMatrix.from_coords(rows, cols, coords))
     matrices.append(fractal_matrix(4, 3))
     matrices.append(plucker_matrix(4, 4).support)
     for m in matrices:

@@ -18,6 +18,7 @@ from isofractal.bitmatrix import (
     serialize,
     stack_identity_below,
 )
+from isofractal.fractal import fractal_matrix
 from isofractal.plucker import decompose, plucker_matrix
 
 
@@ -25,12 +26,105 @@ def M(*rows):
     return BinaryMatrix.from_rows([[int(ch) for ch in row] for row in rows])
 
 
+def coords_of(m):
+    """The 1-coordinates of ``m``, read off its rows."""
+    return frozenset((r, c) for r, row in enumerate(m.row_adj) for c in row)
+
+
+def as_set(m):
+    return m.rows, m.cols, coords_of(m)
+
+
+# --- coordinate-set references -------------------------------------------------
+#
+# The coordinate-set versions of the assembly operations and serializers,
+# kept as independent references for the row-sparse ones.  Each works on
+# (rows, cols, frozenset of coordinates) triples and never reads row_adj.
+
+
 def full_scan_submatrix(m, row_indices, col_indices):
     """Induced submatrix by one scan over every one of ``m``, free of the row adjacency."""
+    rows, cols, ones = m
     rmap = {r: i for i, r in enumerate(row_indices)}
     cmap = {c: j for j, c in enumerate(col_indices)}
-    ones = frozenset((rmap[r], cmap[c]) for r, c in m.ones if r in rmap and c in cmap)
-    return BinaryMatrix(len(row_indices), len(col_indices), ones)
+    kept = frozenset((rmap[r], cmap[c]) for r, c in ones if r in rmap and c in cmap)
+    return len(row_indices), len(col_indices), kept
+
+
+def ref_stack_identity_below(m):
+    rows, cols, ones = m
+    return rows + cols, cols, ones | {(rows + j, j) for j in range(cols)}
+
+
+def ref_paste_right(parts):
+    total_rows = parts[0][0]
+    coords = set()
+    offset = 0
+    for rows, cols, ones in parts:
+        shift = total_rows - rows
+        coords.update((r + shift, c + offset) for r, c in ones)
+        offset += cols
+    return total_rows, offset, frozenset(coords)
+
+
+def ref_direct_sum(parts):
+    row_off = col_off = 0
+    coords = set()
+    for rows, cols, ones in parts:
+        coords.update((row_off + r, col_off + c) for r, c in ones)
+        row_off += rows
+        col_off += cols
+    return row_off, col_off, frozenset(coords)
+
+
+def ref_apply(pair, m):
+    rows, cols, ones = m
+    return rows, cols, frozenset((pair.row_perm[r], pair.col_perm[c]) for r, c in ones)
+
+
+def ref_matrixmarket(m):
+    rows, cols, ones = m
+    lines = ["%%MatrixMarket matrix coordinate integer general", f"{rows} {cols} {len(ones)}"]
+    lines.extend(f"{r + 1} {c + 1} 1" for r, c in sorted(ones))
+    return "\n".join(lines) + "\n"
+
+
+def ref_alist(m):
+    rows, cols, ones = m
+    col_lists = [tuple(sorted(r for r, c in ones if c == j)) for j in range(cols)]
+    row_lists = [tuple(sorted(c for r, c in ones if r == i)) for i in range(rows)]
+    max_col = max((len(x) for x in col_lists), default=0)
+    max_row = max((len(x) for x in row_lists), default=0)
+
+    def padded(indices, width):
+        vals = [i + 1 for i in indices] + [0] * (width - len(indices))
+        return " ".join(str(v) for v in vals)
+
+    lines = [
+        f"{cols} {rows}",
+        f"{max_col} {max_row}",
+        " ".join(str(len(x)) for x in col_lists),
+        " ".join(str(len(x)) for x in row_lists),
+    ]
+    lines.extend(padded(x, max_col) for x in col_lists)
+    lines.extend(padded(x, max_row) for x in row_lists)
+    return "\n".join(lines) + "\n"
+
+
+def ref_ascii(m):
+    rows, cols, ones = m
+    return "".join("".join("1" if (r, c) in ones else "0" for c in range(cols)) + "\n"
+                   for r in range(rows))
+
+
+def random_matrix(rng, max_rows=8, max_cols=8):
+    """A seeded random matrix; zero rows and columns, 0xk and kx0 shapes included."""
+    rows = rng.randrange(0, max_rows + 1)
+    cols = rng.randrange(0, max_cols + 1)
+    density = rng.choice((0.0, 0.15, 0.4, 0.8))
+    return BinaryMatrix.from_coords(rows, cols, {
+        (r, c) for r in range(rows) for c in range(cols) if rng.random() < density
+    })
 
 
 def bfs_components(m):
@@ -72,17 +166,36 @@ def binary_matrices(draw, max_dim=10):
             max_size=rows * cols,
         )
     )
-    return BinaryMatrix(rows, cols, frozenset(coords))
+    return BinaryMatrix.from_coords(rows, cols, coords)
 
 
 class TestBinaryMatrix:
     def test_validation(self):
         with pytest.raises(ValueError):
-            BinaryMatrix(2, 2, frozenset({(2, 0)}))
+            BinaryMatrix.from_coords(2, 2, {(2, 0)})
         with pytest.raises(ValueError):
-            BinaryMatrix(-1, 2, frozenset())
+            BinaryMatrix(-1, 2, ())
         with pytest.raises(ValueError):
             BinaryMatrix.from_rows([[1, 2]])
+
+    def test_rows_are_validated(self):
+        assert BinaryMatrix(2, 3, ((0, 2), ())).weight == 2
+        for adj in [
+            ((0, 2),),              # one row short
+            ((0, 3), ()),           # column past the last
+            ((-1, 1), ()),          # negative column
+            ((2, 0), ()),           # descending
+            ((1, 1), ()),           # repeated column
+            ([0, 2], ()),           # a list is not a row
+            [(0, 2), ()],           # nor a list of rows
+        ]:
+            with pytest.raises(ValueError):
+                BinaryMatrix(2, 3, adj)
+
+    def test_from_coords_counts_repeats_once(self):
+        m = BinaryMatrix.from_coords(2, 3, [(1, 2), (0, 1), (1, 0), (1, 2)])
+        assert m.row_adj == ((1,), (0, 2))
+        assert m == M("010", "101")
 
     def test_weights_and_density(self):
         m = M("110", "011")
@@ -102,12 +215,15 @@ class TestBinaryMatrix:
             rows = rng.randrange(0, 10)
             cols = rng.randrange(0, 10)
             density = rng.choice((0.0, 0.1, 0.3, 0.7))
-            m = BinaryMatrix(rows, cols, frozenset(
+            m = BinaryMatrix.from_coords(rows, cols, {
                 (r, c) for r in range(rows) for c in range(cols) if rng.random() < density
-            ))
+            })
             row_sel = rng.sample(range(rows), rng.randrange(0, rows + 1))
             col_sel = rng.sample(range(cols), rng.randrange(0, cols + 1))
-            assert m.submatrix(row_sel, col_sel) == full_scan_submatrix(m, row_sel, col_sel)
+            if rng.random() < 0.5:
+                col_sel.sort()
+            assert as_set(m.submatrix(row_sel, col_sel)) == full_scan_submatrix(
+                as_set(m), row_sel, col_sel)
         assert BinaryMatrix.zero(3, 4).submatrix([2, 0], [3]) == BinaryMatrix.zero(2, 1)
         assert M("11").submatrix([], []) == BinaryMatrix.zero(0, 0)
 
@@ -116,6 +232,20 @@ class TestBinaryMatrix:
             M("10", "01").submatrix([-1], [0])
         with pytest.raises(IndexError):
             M("10", "01").submatrix([2], [0])
+
+    def test_submatrix_rejects_columns_out_of_range(self):
+        with pytest.raises(IndexError):
+            M("10", "01").submatrix([0], [99])
+        with pytest.raises(IndexError):
+            M("10", "01").submatrix([0, 1], [-1])
+        with pytest.raises(IndexError):
+            M("10", "01").submatrix([0, 1], [0, 2])
+
+    def test_submatrix_rejects_repeated_indices(self):
+        with pytest.raises(ValueError):
+            M("10", "01").submatrix([0, 1], [1, 1])
+        with pytest.raises(ValueError):
+            M("10", "01").submatrix([0, 0], [0, 1])
 
 
 class TestStackIdentityBelow:
@@ -130,7 +260,7 @@ class TestStackIdentityBelow:
         out = stack_identity_below(m)
         assert out.rows == 6 and out.cols == 3
         assert out.weight == m.weight + m.cols
-        assert all(coord in out.ones for coord in m.ones)
+        assert coords_of(m) <= coords_of(out)
 
     def test_zero_columns_rejected(self):
         with pytest.raises(ValueError):
@@ -224,7 +354,7 @@ class TestBipartiteComponents:
                 for c in range(cols)
                 if rng.random() < density
             }
-            m = BinaryMatrix(rows, cols, frozenset(coords))
+            m = BinaryMatrix.from_coords(rows, cols, coords)
             assert bipartite_components(m) == bfs_components(m)
 
 
@@ -275,7 +405,7 @@ class TestPermutationEquivalent:
                 for c in range(cols)
                 if rng.random() < 0.4
             }
-            a = BinaryMatrix(rows, cols, frozenset(coords))
+            a = BinaryMatrix.from_coords(rows, cols, coords)
             rp = list(range(rows))
             cp = list(range(cols))
             rng.shuffle(rp)
@@ -287,6 +417,13 @@ class TestPermutationEquivalent:
             # symmetric direction has the inverse witness
             back = permutation_equivalent(b, a)
             assert back is not None and back.apply(b) == a
+
+    def test_apply_rejects_non_permutations(self):
+        eye = BinaryMatrix.identity(2)
+        for pair in [PermutationPair((0, 0), (0, 1)), PermutationPair((0, 1), (1, 1)),
+                     PermutationPair((0, 2), (0, 1)), PermutationPair((0,), (0, 1))]:
+            with pytest.raises(ValueError):
+                pair.apply(eye)
 
     def test_structured_case_with_search(self):
         # containment of 1-subsets in 2-subsets of [4] against its scramble
@@ -305,7 +442,7 @@ def doubled_block_pair(seed):
     rng = random.Random(seed)
     rows, cols = rng.randint(2, 4), rng.randint(2, 4)
     coords = {(r, c) for r in range(rows) for c in range(cols) if rng.random() < 0.5}
-    block = BinaryMatrix(rows, cols, frozenset(coords | {(0, 0)}))
+    block = BinaryMatrix.from_coords(rows, cols, coords | {(0, 0)})
     a = direct_sum([block, block])
     rp, cp = list(range(a.rows)), list(range(a.cols))
     rng.shuffle(rp)
@@ -412,3 +549,105 @@ class TestSerialization:
         m = BinaryMatrix.zero(0, 3)
         for fmt in ("matrixmarket", "alist"):
             assert deserialize(serialize(m, fmt), fmt) == m
+
+
+REFERENCE_CASES = 300
+
+
+class TestAgainstCoordinateReferences:
+    """The row-sparse operations against the coordinate-set references above."""
+
+    def test_stack_identity_below(self):
+        rng = random.Random(21)
+        for _ in range(REFERENCE_CASES):
+            m = random_matrix(rng)
+            if m.cols == 0:
+                with pytest.raises(ValueError):
+                    stack_identity_below(m)
+            else:
+                assert as_set(stack_identity_below(m)) == ref_stack_identity_below(as_set(m))
+
+    def test_paste_right(self):
+        rng = random.Random(22)
+        for _ in range(REFERENCE_CASES):
+            parts = sorted((random_matrix(rng) for _ in range(rng.randrange(1, 5))),
+                           key=lambda p: -p.rows)
+            assert as_set(paste_right(parts)) == ref_paste_right([as_set(p) for p in parts])
+
+    def test_direct_sum(self):
+        rng = random.Random(23)
+        for _ in range(REFERENCE_CASES):
+            parts = [random_matrix(rng) for _ in range(rng.randrange(0, 5))]
+            assert as_set(direct_sum(parts)) == ref_direct_sum([as_set(p) for p in parts])
+
+    def test_apply(self):
+        rng = random.Random(25)
+        for _ in range(REFERENCE_CASES):
+            m = random_matrix(rng)
+            pair = PermutationPair(tuple(rng.sample(range(m.rows), m.rows)),
+                                   tuple(rng.sample(range(m.cols), m.cols)))
+            assert as_set(pair.apply(m)) == ref_apply(pair, as_set(m))
+
+    def test_serializers_and_round_trips(self):
+        rng = random.Random(26)
+        matrices = [random_matrix(rng) for _ in range(REFERENCE_CASES)] + [
+            BinaryMatrix.zero(0, 0), BinaryMatrix.zero(0, 4), BinaryMatrix.zero(3, 0),
+            BinaryMatrix.zero(1, 5), M("10110"), M("1", "0", "1"),
+            fractal_matrix(4, 3), plucker_matrix(5, 4).support,
+        ]
+        for m in matrices:
+            ref = as_set(m)
+            assert serialize(m, "matrixmarket") == ref_matrixmarket(ref)
+            assert serialize(m, "alist") == ref_alist(ref)
+            for fmt in ("matrixmarket", "alist"):
+                assert deserialize(serialize(m, fmt), fmt) == m
+            if (m.rows == 0) != (m.cols == 0):
+                with pytest.raises(ValueError):
+                    serialize(m, "ascii")
+            else:
+                text = serialize(m, "ascii")
+                assert text == ref_ascii(ref)
+                assert deserialize(text, "ascii") == m
+
+
+MM_HEADER = "%%MatrixMarket matrix coordinate integer general\n"
+
+
+def parse_error(text, fmt):
+    with pytest.raises(ParseError) as err:
+        deserialize(text, fmt)
+    return str(err.value)
+
+
+class TestParseErrors:
+    def test_repeated_matrixmarket_entry(self):
+        text = MM_HEADER + "2 2 2\n1 1 1\n1 1 1\n"
+        assert parse_error(text, "matrixmarket") == "line 4: declared 2 entries, found 1"
+        # a repeat no longer makes up for one entry line too many
+        text = MM_HEADER + "2 2 2\n1 1 1\n1 1 1\n1 2 1\n"
+        assert parse_error(text, "matrixmarket") == "line 5: declared 2 entries, found 3 entry lines"
+
+    def test_matrixmarket_entry_out_of_range(self):
+        for entry, coord in [("3 1", "(3, 1)"), ("1 0", "(1, 0)")]:
+            text = MM_HEADER + f"2 2 1\n{entry} 1\n"
+            assert parse_error(text, "matrixmarket") == f"line 3: coordinate {coord} outside 2x2"
+
+    def test_matrixmarket_negative_size(self):
+        text = MM_HEADER + "-1 2 0\n"
+        assert parse_error(text, "matrixmarket") == "line 2: negative dimensions -1x2"
+
+    def test_alist_row_list_missing_from_column_lists(self):
+        # the columns hold (1, 1) and (2, 2); row 1 lists column 2
+        text = "2 2\n1 1\n1 1\n1 1\n1\n2\n2\n2\n"
+        assert parse_error(text, "alist") == "line 7: entry (1, 2) missing from column lists"
+
+    def test_alist_column_lists_hold_more_than_row_lists(self):
+        # every row entry is in the column lists, which also hold (1, 2)
+        text = "2 2\n2 1\n2 1\n1 1\n1 2\n1\n1\n1\n"
+        assert parse_error(text, "alist") == "line 4: row and column weight totals disagree"
+
+    def test_alist_indices_out_of_range(self):
+        text = "2 2\n1 1\n1 1\n1 1\n3\n2\n1\n2\n"
+        assert parse_error(text, "alist") == "line 5: row index 3 outside [1, 2]"
+        text = "2 2\n1 1\n1 1\n1 1\n1\n2\n5\n2\n"
+        assert parse_error(text, "alist") == "line 7: column index 5 outside [1, 2]"

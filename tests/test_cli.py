@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -199,3 +200,29 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         validate(payload, load_schema("verify-report.schema.json"))
         assert all(c["passed"] for c in payload["checks"])
+
+
+# sha256 of each command's output text, recorded before the row-sparse rewrite
+OUTPUT_SHA256 = {
+    ("fractal", "--k", "9", "--ell", "8", "--format", "matrixmarket"):
+        "eba1e736407adb5de23f1d6fb5eef7c2ddd9513b5bfa3c8791bc225596307ebc",
+    ("fractal", "--k", "9", "--ell", "8", "--format", "alist"):
+        "75898a67e9f42503fb2ab0f263d8b761ef1a85460b29b3b537b361f8ba782543",
+    ("fractal", "--k", "4", "--ell", "3", "--format", "ascii"):
+        "88b91b51d60bf7c4f7141926604b8ad956aee41dd157b1da4fd9d6c4364bfb15",
+    ("plucker", "--n", "8", "--k", "8", "--signed"):
+        "c023bc2e8f28d826f67988eab90b4ad0090972c61c82731a005b4f793ae796c0",
+    ("plucker", "--n", "5", "--k", "4", "--format", "matrixmarket"):
+        "f2a4093cb90b812dd4ef25055327917aa9cfde4daecbd8daa5548bce48d791f1",
+    ("plucker", "--n", "5", "--k", "4", "--format", "alist"):
+        "835eb6a7b3ddb6d3e443a38caade577afd223a348f65171096cba86ba18b81f9",
+    ("incidence", "--n", "14", "--k", "8", "--format", "alist"):
+        "360fac0e01a5cbec4c26077824088e8b041015051c465927e4bb71af7c5818f5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(OUTPUT_SHA256), ids=" ".join)
+def test_output_bytes_pinned(argv, tmp_path):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_SHA256[argv]

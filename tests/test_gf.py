@@ -239,7 +239,7 @@ class TestKernelDimensions:
         dims = 256
         for (a, b), count in census.items():
             block = fractal_matrix(a, b)
-            dense = [[int((r, c) in block.ones) for c in range(block.cols)]
+            dense = [[int(c in block.row_support(r)) for c in range(block.cols)]
                      for r in range(block.rows)]
             dims += count * (block.cols - rref(FieldMatrix(f2, dense, block.cols)).rank)
         assert dims == 6563

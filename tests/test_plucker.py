@@ -6,7 +6,7 @@ import pytest
 
 from isofractal import cli
 from isofractal.bitmatrix import bipartite_components
-from isofractal.combinat import index_tuples, pair_free_part
+from isofractal.combinat import index_tuples, insert_pair_with_sign, pair_free_part
 from isofractal.fractal import fractal_matrix
 from isofractal.gf import FieldMatrix, PrimeField, kernel_basis, rref
 from isofractal.plucker import (
@@ -139,6 +139,20 @@ class TestPluckerMatrix:
             for j, beta in enumerate(pm.col_labels):
                 is_zero = pm.support.col_weight(j) == 0
                 assert is_zero == (pair_free_part(beta, n) == beta)
+
+    def test_signed_rows_match_insert_pair_with_sign(self):
+        for n in range(2, 7):
+            for k in range(2, n + 1):
+                pm = plucker_matrix(n, k, signed=True)
+                col_index = {t: j for j, t in enumerate(pm.col_labels)}
+                for base, row in zip(pm.row_labels, pm.signed_rows, strict=True):
+                    inserted = [insert_pair_with_sign(base, i, n) for i in range(1, n + 1)]
+                    expected = sorted((col_index[t], s) for t, s in filter(None, inserted))
+                    assert row == tuple(expected), (n, k, base)
+                assert pm.signs == {(i, j): s for i, row in enumerate(pm.signed_rows)
+                                    for j, s in row}
+                assert pm.support.row_adj == tuple(tuple(j for j, _ in row)
+                                                   for row in pm.signed_rows)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
