@@ -16,7 +16,6 @@ from .bitmatrix import (
 from .combinat import (
     Cell,
     IndexTuple,
-    RowPartition,
     index_tuples,
     insert_pair_with_sign,
     pair_free_part,

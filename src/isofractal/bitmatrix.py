@@ -17,7 +17,10 @@ Besides the value type this module provides:
 * ``row_components``: the union-find behind ``bipartite_components``, over
   each row's column indices, which ``gf.rref`` shares,
 * ``permutation_equivalent``: an exact search for row/column permutations
-  carrying one matrix onto another, witness included,
+  carrying one matrix onto another, witness included (colour refinement plus
+  backtracking, after McKay & Piperno, "Practical graph isomorphism II",
+  2014); library API only, since every family identity the package checks
+  holds bit for bit,
 * text serialization in MatrixMarket coordinate, alist, and plain ascii form.
 """
 
@@ -398,6 +401,11 @@ def deserialize(text: str, fmt: str) -> BinaryMatrix:
 
 
 MATRIXMARKET_HEADER = "%%MatrixMarket matrix coordinate integer general"
+# Largest row or column count a MatrixMarket size line may declare.  Rows are
+# allocated from the declared count before any entry is read, so the bound
+# keeps a short file from asking for gigabytes; the largest matrix the package
+# builds, the (9, 9) support, has 48,620 columns.
+MAX_DIMENSION = 2**24
 
 
 def _to_matrixmarket(m: BinaryMatrix) -> str:
@@ -427,6 +435,8 @@ def _from_matrixmarket(text: str) -> BinaryMatrix:
         raise ParseError(idx + 1, "size line fields must be integers") from None
     if rows < 0 or cols < 0:
         raise ParseError(idx + 1, f"negative dimensions {rows}x{cols}")
+    if max(rows, cols) > MAX_DIMENSION:
+        raise ParseError(idx + 1, f"dimensions {rows}x{cols} exceed {MAX_DIMENSION}")
     coords = []
     lineno = idx + 1
     for line in lines[idx + 1:]:

@@ -108,14 +108,7 @@ class Cell:
     members: tuple[IndexTuple, ...]
 
 
-@dataclass(frozen=True)
-class RowPartition:
-    """Partition of I(k-2, 2n) by the pair-free part of each tuple's support."""
-
-    cells: tuple[Cell, ...]
-
-
-def row_partition(n: int, k: int) -> RowPartition:
+def row_partition(n: int, k: int) -> tuple[Cell, ...]:
     """Group the (k-2)-tuples over [2n] by the pair-free part of their support.
 
     A tuple lands in the cell labeled by its entries whose partner is absent;
@@ -129,6 +122,4 @@ def row_partition(n: int, k: int) -> RowPartition:
     for t in index_tuples(k - 2, 2 * n):
         cells.setdefault(pair_free_part(t, n), []).append(t)
     ordered = sorted(cells, key=lambda lab: (len(lab), lab))
-    return RowPartition(
-        cells=tuple(Cell(label=lab, members=tuple(cells[lab])) for lab in ordered),
-    )
+    return tuple(Cell(label=lab, members=tuple(cells[lab])) for lab in ordered)

@@ -29,6 +29,8 @@ vectors at the zero columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import lt
 from typing import Iterable, Sequence
 
 from .bitmatrix import row_components
@@ -84,17 +86,16 @@ class FieldMatrix:
 
     @classmethod
     def from_nonzeros(
-        cls, field: PrimeField, rows: Sequence[Iterable[tuple[int, int]]], ncols: int
+        cls, field: PrimeField, rows: Iterable[Sequence[tuple[int, int]]], ncols: int
     ) -> FieldMatrix:
-        """Build from each row's ``(column, value)`` pairs, in any order."""
+        """Build from each row's ``(column, value)`` pairs, columns strictly ascending."""
         p = field.p
         nonzeros = []
         for i, row in enumerate(rows):
-            pairs = sorted(row)
-            cols = {j for j, _ in pairs}
-            if pairs and (pairs[0][0] < 0 or pairs[-1][0] >= ncols or len(cols) < len(pairs)):
-                raise ValueError(f"row {i} has a column outside [0, {ncols}) or a repeated column")
-            nonzeros.append(tuple((j, r) for j, v in pairs if (r := v % p)))
+            cols = [j for j, _ in row]
+            if cols and (cols[0] < 0 or cols[-1] >= ncols or not all(map(lt, cols, cols[1:]))):
+                raise ValueError(f"row {i} is not an increasing tuple of columns in [0, {ncols})")
+            nonzeros.append(tuple((j, r) for j, v in row if (r := v % p)))
         m = cls.__new__(cls)
         m._assign(field, nonzeros, ncols)
         return m
@@ -174,7 +175,8 @@ def rref(m: FieldMatrix) -> EchelonResult:
             reduced.append((c, pivot))
     reduced.sort(key=lambda pivot_row: pivot_row[0])
     pivots = tuple(c for c, _ in reduced)
-    rows = [row.items() for _, row in reduced] + [()] * (m.nrows - len(reduced))
+    # sorted one at a time as they are consumed, so only one copy is held
+    rows = chain((sorted(row.items()) for _, row in reduced), [()] * (m.nrows - len(reduced)))
     return EchelonResult(FieldMatrix.from_nonzeros(m.field, rows, m.ncols), len(pivots), pivots)
 
 

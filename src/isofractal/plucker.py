@@ -23,7 +23,7 @@ family bit for bit, with no component search and no equivalence search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .bitmatrix import BinaryMatrix
@@ -292,7 +292,7 @@ def decompose(n: int, k: int) -> DecompositionReport:
     row_index = {t: r for r, t in enumerate(pm.row_labels)}
     blocks = []
     weight = 0
-    for cell in row_partition(n, k).cells:
+    for cell in row_partition(n, k):
         j = (k - len(cell.label)) // 2
         a = n - k + j + 1
         rows = tuple(row_index[member] for member in cell.members)
@@ -314,10 +314,15 @@ def decompose(n: int, k: int) -> DecompositionReport:
     if covered_rows != math.comb(2 * n, k - 2) or covered_cols != math.comb(2 * n, k):
         raise AssertionError("blocks plus zero lines do not cover the matrix")
 
-    census: dict[tuple[int, int], int] = {}
-    for b in blocks:
-        key = (b.fractal.k, b.fractal.ell)
-        census[key] = census.get(key, 0) + 1
+    report = DecompositionReport(
+        n=n,
+        k=k,
+        blocks=tuple(blocks),
+        zero_rows=zero_rows,
+        zero_columns=tuple(zero_cols),
+        flags=(),
+    )
+    census = report.block_census()
     closed_form = {
         (n - k + j + 1, j): math.comb(n, k - 2 * j) * 2 ** (k - 2 * j)
         for j in range(1, k // 2 + 1)
@@ -335,12 +340,4 @@ def decompose(n: int, k: int) -> DecompositionReport:
                 f"block A({key[0]}, {key[1]}): found {found} copies, "
                 f"the pair-indexed census predicts {stated}"
             )
-
-    return DecompositionReport(
-        n=n,
-        k=k,
-        blocks=tuple(blocks),
-        zero_rows=zero_rows,
-        zero_columns=tuple(zero_cols),
-        flags=tuple(flags),
-    )
+    return replace(report, flags=tuple(flags))

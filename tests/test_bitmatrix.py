@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from isofractal.bitmatrix import (
     FORMATS,
+    MAX_DIMENSION,
     BinaryMatrix,
     ParseError,
     PermutationPair,
@@ -635,6 +636,18 @@ class TestParseErrors:
     def test_matrixmarket_negative_size(self):
         text = MM_HEADER + "-1 2 0\n"
         assert parse_error(text, "matrixmarket") == "line 2: negative dimensions -1x2"
+
+    def test_matrixmarket_size_bound(self):
+        # rejected at the size line, before any row is allocated
+        big = MAX_DIMENSION + 1
+        for size in (f"{big} 1", f"1 {big}"):
+            text = MM_HEADER + f"{size} 0\n"
+            assert parse_error(text, "matrixmarket") == (
+                f"line 2: dimensions {size.replace(' ', 'x')} exceed {MAX_DIMENSION}"
+            )
+        wide = deserialize(MM_HEADER + f"1 {MAX_DIMENSION} 1\n1 {MAX_DIMENSION} 1\n",
+                           "matrixmarket")
+        assert wide.row_adj == ((MAX_DIMENSION - 1,),)
 
     def test_alist_row_list_missing_from_column_lists(self):
         # the columns hold (1, 1) and (2, 2); row 1 lists column 2

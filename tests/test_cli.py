@@ -218,6 +218,8 @@ OUTPUT_SHA256 = {
         "835eb6a7b3ddb6d3e443a38caade577afd223a348f65171096cba86ba18b81f9",
     ("incidence", "--n", "14", "--k", "8", "--format", "alist"):
         "360fac0e01a5cbec4c26077824088e8b041015051c465927e4bb71af7c5818f5",
+    ("verify", "--suite", "all", "--seed", "0"):
+        "7afcd6edbd90af01336c0a4dd86d21fe40ca23ac5c0bd85d032f5d772d2c08c8",
 }
 
 

@@ -145,16 +145,16 @@ class TestInsertPairWithSign:
 class TestRowPartition:
     def test_trivial_case(self):
         part = row_partition(2, 2)
-        assert len(part.cells) == 1
-        assert part.cells[0].label == ()
-        assert part.cells[0].members == ((),)
+        assert len(part) == 1
+        assert part[0].label == ()
+        assert part[0].members == ((),)
 
     def test_four_four(self):
         part = row_partition(4, 4)
-        empty = part.cells[0]
+        empty = part[0]
         assert empty.label == ()
         assert empty.members == ((1, 8), (2, 7), (3, 6), (4, 5))
-        pairs_cells = [c for c in part.cells if len(c.label) == 2]
+        pairs_cells = [c for c in part if len(c.label) == 2]
         assert len(pairs_cells) == 24
         for cell in pairs_cells:
             a1, a2 = cell.label
@@ -163,8 +163,8 @@ class TestRowPartition:
 
     def test_three_three(self):
         part = row_partition(3, 3)
-        assert [c.label for c in part.cells] == [(j,) for j in range(1, 7)]
-        assert all(c.members == (c.label,) for c in part.cells)
+        assert [c.label for c in part] == [(j,) for j in range(1, 7)]
+        assert all(c.members == (c.label,) for c in part)
 
     def test_brute_force_classification(self):
         # independent rule: free entries are those whose partner is absent
@@ -172,7 +172,7 @@ class TestRowPartition:
             for k in range(2, n + 1):
                 part = row_partition(n, k)
                 seen = set()
-                for cell in part.cells:
+                for cell in part:
                     for t in cell.members:
                         free = tuple(e for e in t if (2 * n + 1 - e) not in t)
                         assert free == cell.label
@@ -187,7 +187,7 @@ class TestRowPartition:
             for k in range(2, n + 1):
                 part = row_partition(n, k)
                 by_size = {}
-                for cell in part.cells:
+                for cell in part:
                     by_size.setdefault(len(cell.label), []).append(cell)
                 total = 0
                 for t, cells in by_size.items():

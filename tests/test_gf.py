@@ -216,7 +216,7 @@ class TestSparseStorage:
 
     def test_bad_nonzero_columns_rejected(self):
         f = PrimeField(3)
-        for row in ([(3, 1)], [(-1, 1)], [(0, 1), (0, 2)]):
+        for row in ([(3, 1)], [(-1, 1)], [(0, 1), (0, 2)], [(2, 1), (0, 1)]):
             with pytest.raises(ValueError):
                 FieldMatrix.from_nonzeros(f, [row], 3)
 

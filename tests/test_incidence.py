@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import isofractal.incidence as incidence
 from isofractal.bitmatrix import BinaryMatrix
 from isofractal.combinat import index_tuples, rank
 from isofractal.fractal import fractal_matrix
@@ -135,10 +136,37 @@ class TestFractalMatch:
         report = verify_incidence_fractal_match(8, n_max=8)
         assert report["passed"]
         assert report["square_shape"] == (56, 70)
-        assert report["square_equivalent"]
-        assert report["square_witness"] is not None
+        assert report["square_equal"]
         assert report["triangle_order_ok"]
-        assert report["triangle_column_witness"] is not None
+        assert [(e["n"], e["k"]) for e in report["sweep"]] == [
+            (n, k) for n in range(2, 9) for k in range(2, n + 1)
+        ]
+        assert all(e["equal"] for e in report["sweep"])
+
+    def test_square_equals_family_member(self):
+        for m in (8, 10, 12):
+            r = (m + 2) // 2
+            assert incidence_matrix(m, m) == fractal_matrix(r, r - 1)
+
+    def test_row_reversed_targets_fail(self, monkeypatch):
+        # row-reversed targets are permutation equivalent but not equal,
+        # so an equivalence check would pass here and an equality check fails
+        def reversed_rows(k, ell):
+            b = fractal_matrix(k, ell)
+            if (k, ell) == (5, 4):
+                return b
+            return BinaryMatrix(b.rows, b.cols, b.row_adj[::-1])
+
+        monkeypatch.setattr(incidence, "fractal_matrix", reversed_rows)
+        report = verify_incidence_fractal_match(8, n_max=6)
+        assert report["square_equal"] and report["triangle_order_ok"]
+        assert not all(e["equal"] for e in report["sweep"])
+        assert not report["passed"]
+
+    def test_empty_sweep_rejected(self):
+        for n_max in (1, 0):
+            with pytest.raises(ValueError):
+                verify_incidence_fractal_match(8, n_max=n_max)
 
     def test_four_four_bit_exact(self):
         assert incidence_matrix(4, 4) == fractal_matrix(3, 2)
