@@ -10,6 +10,8 @@ for the ascii text form.
 
 Besides the value type this module provides:
 
+* ``check_rows`` and ``MAX_DIMENSION``: the row check and the size limit that
+  ``gf.FieldMatrix`` and the matrix builders share,
 * ``stack_identity_below`` and ``paste_right``: the two paste operations the
   recursive matrix family is assembled from,
 * ``direct_sum`` and ``bipartite_components``: block-diagonal assembly and its
@@ -37,6 +39,21 @@ Row = tuple[int, ...]
 
 FORMATS = ("matrixmarket", "alist", "ascii")
 
+# Largest row or column count of any matrix the package reads or builds.  A
+# MatrixMarket size line, and the parameters of ``fractal_matrix``,
+# ``plucker_matrix`` and ``incidence_matrix``, fix how much is allocated before
+# any entry is read or set, so the bound keeps a short file or a few small
+# numbers from asking for gigabytes; the (9, 9) support has 48,620 columns.
+MAX_DIMENSION = 2**24
+
+
+def check_rows(rows: Iterable[Row], ncols: int) -> None:
+    """Raise ``ValueError`` unless every row is a tuple of increasing columns in [0, ncols)."""
+    for r, row in enumerate(rows):
+        if type(row) is not tuple or (row and (
+                row[0] < 0 or row[-1] >= ncols or not all(map(lt, row, row[1:])))):
+            raise ValueError(f"row {r} is not an increasing tuple of columns in [0, {ncols})")
+
 
 @dataclass(frozen=True)
 class BinaryMatrix:
@@ -56,11 +73,7 @@ class BinaryMatrix:
             raise ValueError(f"negative dimensions {self.rows}x{self.cols}")
         if type(self.row_adj) is not tuple or len(self.row_adj) != self.rows:
             raise ValueError(f"expected a tuple of {self.rows} rows")
-        cols = self.cols
-        for r, row in enumerate(self.row_adj):
-            if type(row) is not tuple or (row and (
-                    row[0] < 0 or row[-1] >= cols or not all(map(lt, row, row[1:])))):
-                raise ValueError(f"row {r} is not an increasing tuple of columns in [0, {cols})")
+        check_rows(self.row_adj, self.cols)
 
     @classmethod
     def from_coords(cls, rows: int, cols: int, coords: Iterable[Coord]) -> BinaryMatrix:
@@ -71,24 +84,6 @@ class BinaryMatrix:
                 raise ValueError(f"coordinate ({r}, {c}) outside {rows}x{cols}")
             adj[r].append(c)
         return cls(rows, cols, tuple(tuple(sorted(set(a))) for a in adj))
-
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence[int]], cols: int | None = None) -> BinaryMatrix:
-        nrows = len(data)
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        adj = []
-        for r, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError(f"ragged row {r}: {len(row)} entries, expected {cols}")
-            ones = []
-            for c, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError(f"entry {v!r} at ({r}, {c}) is not 0 or 1")
-                if v:
-                    ones.append(c)
-            adj.append(tuple(ones))
-        return cls(nrows, cols, tuple(adj))
 
     @classmethod
     def identity(cls, n: int) -> BinaryMatrix:
@@ -401,11 +396,6 @@ def deserialize(text: str, fmt: str) -> BinaryMatrix:
 
 
 MATRIXMARKET_HEADER = "%%MatrixMarket matrix coordinate integer general"
-# Largest row or column count a MatrixMarket size line may declare.  Rows are
-# allocated from the declared count before any entry is read, so the bound
-# keeps a short file from asking for gigabytes; the largest matrix the package
-# builds, the (9, 9) support, has 48,620 columns.
-MAX_DIMENSION = 2**24
 
 
 def _to_matrixmarket(m: BinaryMatrix) -> str:

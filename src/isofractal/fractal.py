@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bitmatrix import BinaryMatrix, paste_right, stack_identity_below
+from .bitmatrix import MAX_DIMENSION, BinaryMatrix, paste_right, stack_identity_below
 
-# Binomial dimensions must stay within exact 64-bit range; anything bigger is
-# far outside desk scale anyway.
-_DIMENSION_GUARD = 2**63
+# Entries kept by each memoized builder: verify --suite all plus the largest
+# emits hold 65 and 36, the whole decompose range 15, in one process.
+_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,15 @@ class FractalParams:
 def _check_params(k: int, ell: int) -> None:
     if k < 1 or ell < 1:
         raise ValueError(f"need k >= 1 and ell >= 1, got k={k}, ell={ell}")
-    if math.comb(k + ell - 1, ell) >= _DIMENSION_GUARD:
-        raise ValueError(f"dimensions of A({k}, {ell}) exceed the 64-bit guard")
+    # C(k+ell-1, ell-1) rows and C(k+ell-1, ell) columns; the larger is this one
+    size = math.comb(k + ell - 1, min(k, ell))
+    if size > MAX_DIMENSION:
+        raise ValueError(f"A({k}, {ell}) has a side of {size}, past the limit {MAX_DIMENSION}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def fractal_matrix(k: int, ell: int) -> BinaryMatrix:
-    """Build A(k, ell) by the paste route.  Memoized; results are immutable."""
+    """Build A(k, ell) by the paste route.  Memoized, bounded; results are immutable."""
     _check_params(k, ell)
     if ell == 1:
         return BinaryMatrix.all_ones(1, k)
@@ -56,7 +58,7 @@ def fractal_matrix(k: int, ell: int) -> BinaryMatrix:
     return paste_right(parts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def fractal_matrix_blockwise(k: int, ell: int) -> BinaryMatrix:
     """Build A(k, ell) by the 2x2 block recursion.  Independent of the paste route."""
     _check_params(k, ell)

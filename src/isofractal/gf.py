@@ -7,7 +7,8 @@ normalization of a vector (first nonzero coordinate scaled to 1).
 Matrices are stored row-sparse: each row is its nonzero ``(column, residue)``
 pairs in ascending column order, so the contraction system, whose rows hold
 at most n entries, is built and eliminated in memory proportional to its
-nonzeros.  The dense ``entries`` view is built only when read.
+nonzeros.  Sparse rows are the only form a matrix is built from; only
+``kernel_basis`` returns dense vectors.
 
 Elimination works component by component.  ``bitmatrix.row_components``, the
 union-find that also splits the contraction system's support into blocks,
@@ -30,10 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import lt
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .bitmatrix import row_components
+from .bitmatrix import check_rows, row_components
 
 
 @dataclass(frozen=True)
@@ -63,73 +63,32 @@ FieldVector = tuple[int, ...]
 SparseRow = tuple[tuple[int, int], ...]
 
 
+@dataclass(frozen=True)
 class FieldMatrix:
     """An immutable matrix of residues over a prime field, stored row-sparse.
 
-    ``nonzeros[i]`` holds row i as ``(column, residue)`` pairs in ascending
-    column order.  ``entries``, the dense rows as a tuple of tuples, is built
-    on first read and then kept.
+    ``nonzeros[i]`` holds row i as ``(column, residue)`` pairs, columns
+    strictly ascending inside ``[0, ncols)`` and residues in ``[1, p)``.  The
+    constructor checks every row, with the row check ``BinaryMatrix`` uses.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "nonzeros", "_entries")
+    field: PrimeField
+    nonzeros: tuple[SparseRow, ...]
+    ncols: int
 
-    def __init__(self, field: PrimeField, rows: Sequence[Sequence[int]], ncols: int | None = None):
-        """Build from dense rows; every row must have ``ncols`` entries."""
-        if ncols is None:
-            ncols = len(rows[0]) if len(rows) else 0
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
-        p = field.p
-        nonzeros = [tuple((j, r) for j, v in enumerate(row) if (r := v % p)) for row in rows]
-        self._assign(field, nonzeros, ncols)
-
-    @classmethod
-    def from_nonzeros(
-        cls, field: PrimeField, rows: Iterable[Sequence[tuple[int, int]]], ncols: int
-    ) -> FieldMatrix:
-        """Build from each row's ``(column, value)`` pairs, columns strictly ascending."""
-        p = field.p
-        nonzeros = []
-        for i, row in enumerate(rows):
-            cols = [j for j, _ in row]
-            if cols and (cols[0] < 0 or cols[-1] >= ncols or not all(map(lt, cols, cols[1:]))):
-                raise ValueError(f"row {i} is not an increasing tuple of columns in [0, {ncols})")
-            nonzeros.append(tuple((j, r) for j, v in row if (r := v % p)))
-        m = cls.__new__(cls)
-        m._assign(field, nonzeros, ncols)
-        return m
-
-    def _assign(self, field: PrimeField, nonzeros: list[SparseRow], ncols: int) -> None:
-        self.field = field
-        self.nonzeros = tuple(nonzeros)
-        self.nrows = len(nonzeros)
-        self.ncols = ncols
-        self._entries = None
+    def __post_init__(self) -> None:
+        if self.ncols < 0 or type(self.nonzeros) is not tuple:
+            raise ValueError(f"expected a tuple of rows and ncols >= 0, got {self.ncols}")
+        p = self.field.p
+        for i, row in enumerate(self.nonzeros):
+            if type(row) is not tuple or not all(0 < v < p for _, v in row):
+                raise ValueError(f"row {i} is not a tuple of (column, residue) pairs "
+                                 f"with residues in [1, {p})")
+        check_rows((tuple(j for j, _ in row) for row in self.nonzeros), self.ncols)
 
     @property
-    def entries(self) -> tuple[FieldVector, ...]:
-        """The dense rows, residues in [0, p)."""
-        if self._entries is None:
-            dense = []
-            for row in self.nonzeros:
-                values = [0] * self.ncols
-                for j, v in row:
-                    values[j] = v
-                dense.append(tuple(values))
-            self._entries = tuple(dense)
-        return self._entries
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldMatrix)
-            and self.field == other.field
-            and self.nonzeros == other.nonzeros
-            and self.ncols == other.ncols
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.nonzeros, self.ncols))
+    def nrows(self) -> int:
+        return len(self.nonzeros)
 
     def __repr__(self) -> str:
         return f"FieldMatrix(GF({self.field.p}), {self.nrows}x{self.ncols})"
@@ -176,8 +135,9 @@ def rref(m: FieldMatrix) -> EchelonResult:
     reduced.sort(key=lambda pivot_row: pivot_row[0])
     pivots = tuple(c for c, _ in reduced)
     # sorted one at a time as they are consumed, so only one copy is held
-    rows = chain((sorted(row.items()) for _, row in reduced), [()] * (m.nrows - len(reduced)))
-    return EchelonResult(FieldMatrix.from_nonzeros(m.field, rows, m.ncols), len(pivots), pivots)
+    rows = chain((tuple(sorted(row.items())) for _, row in reduced),
+                 [()] * (m.nrows - len(reduced)))
+    return EchelonResult(FieldMatrix(m.field, tuple(rows), m.ncols), len(pivots), pivots)
 
 
 def kernel_basis(m: FieldMatrix) -> list[FieldVector]:

@@ -21,7 +21,9 @@ this, and the triangle order, by plain equality.
 
 from __future__ import annotations
 
-from .bitmatrix import BinaryMatrix
+import math
+
+from .bitmatrix import MAX_DIMENSION, BinaryMatrix
 # Unused here; the benchmark's traced passes rebind this module attribute.
 from .bitmatrix import permutation_equivalent  # noqa: F401
 from .combinat import IndexTuple, index_tuples, rank
@@ -37,9 +39,14 @@ def incidence_matrix(n: int, k: int) -> BinaryMatrix:
     ones are the extensions of its label by one element; only those are built.
     For even k this is the incidence matrix of the pair-tuple configuration:
     row i marks the one-pair extensions of the i-th (k-2)/2-tuple of pairs.
+    More than ``MAX_DIMENSION`` columns raise ``ValueError`` before any label
+    is listed.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    if math.comb(n, k // 2) > MAX_DIMENSION:  # the column count; there are fewer rows
+        raise ValueError(f"the (n={n}, k={k}) incidence matrix has {math.comb(n, k // 2)} "
+                         f"columns, past the limit {MAX_DIMENSION}")
     low = (k - 2) // 2
     row_labels = index_tuples(low, n)
     col_index = {b: j for j, b in enumerate(index_tuples(low + 1, n))}

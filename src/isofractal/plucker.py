@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .bitmatrix import BinaryMatrix
+from .bitmatrix import MAX_DIMENSION, BinaryMatrix
 # Unused here; the benchmark's traced passes rebind these two module attributes.
 from .bitmatrix import bipartite_components, permutation_equivalent  # noqa: F401
 from .combinat import (
@@ -111,7 +111,9 @@ class PluckerMatrix:
         return tuple(tuple((j, 1) for j, _ in row) for row in self.signed_rows)
 
     def field_matrix(self, field: PrimeField) -> FieldMatrix:
-        return FieldMatrix.from_nonzeros(field, self._coefficient_rows(), len(self.col_labels))
+        p = field.p  # every coefficient is +-1, a nonzero residue for any p
+        rows = tuple(tuple((j, c % p) for j, c in row) for row in self._coefficient_rows())
+        return FieldMatrix(field, rows, len(self.col_labels))
 
     def apply(self, w: list[int] | FieldVector, field: PrimeField) -> FieldVector:
         """Sparse matrix-vector product over GF(p)."""
@@ -127,10 +129,14 @@ def plucker_matrix(n: int, k: int, signed: bool = False) -> PluckerMatrix:
     Row i, for the i-th (k-2)-tuple, has one entry per basis pair disjoint
     from the tuple, at the column of the merged k-tuple.  Inserting the pairs
     in the order of their smaller member gives lexicographically increasing
-    merged tuples, so each row comes out in ascending column order.
+    merged tuples, so each row comes out in ascending column order.  More than
+    ``MAX_DIMENSION`` columns raise ``ValueError`` before any label is listed.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    if math.comb(2 * n, k) > MAX_DIMENSION:  # the column count; there are fewer rows
+        raise ValueError(f"the (n={n}, k={k}) system has {math.comb(2 * n, k)} columns, "
+                         f"past the limit {MAX_DIMENSION}")
     row_labels = tuple(index_tuples(k - 2, 2 * n))
     col_labels = tuple(index_tuples(k, 2 * n))
     col_index = {t: j for j, t in enumerate(col_labels)}

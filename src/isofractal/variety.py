@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
 import numpy as np
 
 from .combinat import IndexTuple, index_tuples, rank
-from .gf import (FieldMatrix, FieldVector, PrimeField, kernel_basis,
+from .gf import (FieldMatrix, FieldVector, PrimeField, SparseRow, kernel_basis,
                  normalize_projective, projective_count, rref)
 from .plucker import SymplecticForm, plucker_matrix
 
@@ -38,8 +38,11 @@ class BudgetExceededError(ValueError):
     """Enumeration would exceed the configured budget; carries a lower bound on the need."""
 
     def __init__(self, required: int, budget: int, what: str):
+        # q**d can run to thousands of digits, past the int-to-str limit; past
+        # 64 bits the message names the power of two below it, still a bound
+        shown = required if required.bit_length() <= 64 else f"2**{required.bit_length() - 1}"
         super().__init__(
-            f"{what} needs a budget of at least {required}, configured budget is {budget}"
+            f"{what} needs a budget of at least {shown}, configured budget is {budget}"
         )
         self.required = required
         self.budget = budget
@@ -173,6 +176,27 @@ def _pullback_forms(relations: list[QuadraticRelation], basis: np.ndarray,
     return forms % q
 
 
+def _refuse_kernel_search(d: int, q: int, budget: int, what: str) -> None:
+    """Refuse a search over a kernel of dimension d or more: int64 limit first, then budget.
+
+    q**d > budget whenever d exceeds the budget's bit length, so the
+    comparison never forms q**d for a larger d.
+    """
+    if d * d * (q - 1) ** 3 >= 2**63:
+        raise ValueError(f"q={q} with kernel dimension d >= {d} overflows int64: "
+                         "need d*d*(q-1)**3 < 2**63")
+    if d > budget.bit_length() or q**d > budget:
+        raise BudgetExceededError(required=q**d, budget=budget, what=what)
+
+
+def _sparse_rows(a: np.ndarray) -> tuple[SparseRow, ...]:
+    """The rows of a 2-d array as ``(column, value)`` pairs, gathered in one numpy pass."""
+    rows, cols = np.nonzero(a)
+    pairs = list(zip(cols.tolist(), a[rows, cols].tolist()))
+    ends = np.cumsum(np.count_nonzero(a, axis=1)).tolist()
+    return tuple(tuple(pairs[start:end]) for start, end in zip([0] + ends, ends))
+
+
 def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> PointSet:
     """Kernel representatives surviving every quadratic relation.
 
@@ -183,34 +207,39 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
     values of each next coefficient, dropping rows where a form keyed to that
     level is nonzero.  ``examined`` counts the projective classes decided.
 
-    Raises :class:`BudgetExceededError` when q**d exceeds the budget, and
-    ``ValueError`` unless d*d*(q - 1)**3 < 2**63, since the largest int64
-    intermediate, a form on the frontier, sums d*d products below q**3.  The
-    d >= 1 case, (q - 1)**3 < 2**63, is checked before the field is built, so
-    a huge q is refused without testing its primality.
+    Raises ``ValueError`` for a budget below 1, and unless d*d*(q - 1)**3 <
+    2**63, since the largest int64 intermediate, a form on the frontier, sums
+    d*d products below q**3; then :class:`BudgetExceededError` when q**d
+    exceeds the budget.  The d >= 1 case, (q - 1)**3 < 2**63, is checked before
+    the field is built, so a huge q is refused without testing its primality.
+    Both refusals are first made for d >= C(2n, k) - C(2n, k - 2), the column
+    count less the row count of the system, before the system is built, and
+    then for the exact d.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    if budget < 1:
+        raise ValueError(f"budget must be a positive integer, got {budget}")
     if (q - 1) ** 3 >= 2**63:
         raise ValueError(f"q={q} overflows int64: need d*d*(q-1)**3 < 2**63 "
                          "for a kernel of dimension d >= 1")
     field = PrimeField(q)
+    what = f"kernel enumeration for (n={n}, k={k}, q={q})"
+    _refuse_kernel_search(math.comb(2 * n, k) - math.comb(2 * n, k - 2), q, budget, what)
     pm = plucker_matrix(n, k, signed=True)
     basis = kernel_basis(pm.field_matrix(field))
     d = len(basis)
-    if d * d * (q - 1) ** 3 >= 2**63:
-        raise ValueError(f"q={q} with kernel dimension d={d} overflows int64: "
-                         "need d*d*(q-1)**3 < 2**63")
-    if q**d > budget:
-        raise BudgetExceededError(required=q**d, budget=budget,
-                                  what=f"kernel enumeration for (n={n}, k={k}, q={q})")
+    _refuse_kernel_search(d, q, budget, what)
     basis_arr = np.array(basis, dtype=np.int64)  # d >= 1: C(2n, k) > C(2n, k - 2)
     forms = _pullback_forms(quadratic_relations(n, k), basis_arr, n, k, q)
     first, second = _monomials(d)
-    echelon = rref(FieldMatrix(field, forms[forms.any(axis=1)].tolist(), len(first)))
-    rows = np.array(echelon.matrix.entries[: echelon.rank], dtype=np.int64)
+    echelon = rref(FieldMatrix(field, _sparse_rows(forms), len(first)))
+    reduced = echelon.matrix.nonzeros[: echelon.rank]
+    cols, residues = np.fromiter(chain.from_iterable(chain.from_iterable(reduced)),
+                                 dtype=np.int64).reshape(-1, 2).T
+    owner = np.repeat(np.arange(echelon.rank), [len(row) for row in reduced])
     upper = np.zeros((echelon.rank, d, d), dtype=np.int64)
-    upper[:, first, second] = rows.reshape(echelon.rank, len(first))
+    upper[owner, first[cols], second[cols]] = residues
     keys = second[list(echelon.pivots)]
 
     points: set[FieldVector] = set()
@@ -285,12 +314,15 @@ def oracle_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Point
     ``examined`` counts the search nodes, that is the accepted echelon rows at
     every depth.  They are counted as they are visited, and visiting more than
     ``budget`` raises :class:`BudgetExceededError` whose ``required`` is a
-    lower bound (nodes visited + 1) and whose message names the depth reached.
-    The minors are exact in int64 only while (q - 1)**2 < 2**63; a larger q
-    raises ``ValueError`` before the field is built.
+    lower bound (nodes visited + 1) and whose message names the depth reached;
+    a budget below 1 raises ``ValueError``.  The minors are exact in int64
+    only while (q - 1)**2 < 2**63; a larger q raises ``ValueError`` before the
+    field is built.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    if budget < 1:
+        raise ValueError(f"budget must be a positive integer, got {budget}")
     if (q - 1) ** 2 >= 2**63:
         raise ValueError(f"q={q} overflows int64: the minors need (q-1)**2 < 2**63")
     PrimeField(q)  # validates primality

@@ -46,7 +46,7 @@ def report(num, text):
 
 
 def test_criterion_01_golden_fixture():
-    fixture = BinaryMatrix.from_rows([[int(ch) for ch in row] for row in GOLDEN_4_3])
+    fixture = deserialize("\n".join(GOLDEN_4_3), "ascii")
     m = fractal_matrix(4, 3)  # warm the memo before timing
     assert m == fixture
     assert m.weight == 60

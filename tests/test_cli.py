@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
+from isofractal import fractal
 from isofractal.cli import main
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -55,6 +56,30 @@ class TestFractalCommand:
         with pytest.raises(SystemExit) as err:
             main(["fractal", "--k", "4"])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["fractal", "--k", "30", "--ell", "30"],
+    ["plucker", "--n", "14", "--k", "14"],
+    ["incidence", "--n", "40", "--k", "40"],
+])
+def test_size_limit_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert f"past the limit {2**24}" in capsys.readouterr().err
+
+
+def test_fractal_cache_counts(tmp_path):
+    fractal.fractal_matrix.cache_clear()
+    fractal.fractal_matrix_blockwise.cache_clear()
+    for argv in (["verify", "--suite", "all", "--seed", "0"],
+                 ["fractal", "--k", "9", "--ell", "8", "--format", "matrixmarket"],
+                 ["fractal", "--k", "9", "--ell", "8", "--format", "alist"],
+                 ["plucker", "--n", "8", "--k", "8", "--signed"],
+                 ["incidence", "--n", "14", "--k", "8", "--format", "alist"]):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    # every entry stays under the bound, so nothing is built twice
+    assert fractal.fractal_matrix.cache_info().misses == 65
+    assert fractal.fractal_matrix_blockwise.cache_info().misses == 36
 
 
 class TestIncidenceCommand:
@@ -202,7 +227,8 @@ class TestVerifyCommand:
         assert all(c["passed"] for c in payload["checks"])
 
 
-# sha256 of each command's output text, recorded before the row-sparse rewrite
+# sha256 of each command's output file, recorded before the row-sparse rewrite;
+# the two points files were recorded before the forms went sparse
 OUTPUT_SHA256 = {
     ("fractal", "--k", "9", "--ell", "8", "--format", "matrixmarket"):
         "eba1e736407adb5de23f1d6fb5eef7c2ddd9513b5bfa3c8791bc225596307ebc",
@@ -220,6 +246,10 @@ OUTPUT_SHA256 = {
         "360fac0e01a5cbec4c26077824088e8b041015051c465927e4bb71af7c5818f5",
     ("verify", "--suite", "all", "--seed", "0"):
         "7afcd6edbd90af01336c0a4dd86d21fe40ca23ac5c0bd85d032f5d772d2c08c8",
+    ("points", "--n", "3", "--k", "3", "--q", "3"):
+        "d023231960c85de452ad85277a7371b93bb34d7ec5b6226a7b35751e8e76b6dd",
+    ("points", "--n", "3", "--k", "2", "--q", "3"):
+        "4999bc29db178e73d370bd66a4d820136e5959d097b3bfe73136b28993fc0cf6",
 }
 
 

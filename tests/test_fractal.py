@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from isofractal.bitmatrix import BinaryMatrix
+from isofractal.bitmatrix import BinaryMatrix, deserialize
 from isofractal.fractal import (
     FractalParams,
     fractal_matrix,
@@ -33,7 +33,7 @@ GOLDEN_4_3 = [
 
 
 def golden_fixture():
-    return BinaryMatrix.from_rows([[int(ch) for ch in row] for row in GOLDEN_4_3])
+    return deserialize("\n".join(GOLDEN_4_3), "ascii")
 
 
 class TestConstruction:
@@ -48,7 +48,7 @@ class TestConstruction:
             assert fractal_matrix(k, 1) == BinaryMatrix.all_ones(1, k)
 
     def test_smallest_square(self):
-        expected = BinaryMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+        expected = deserialize("110\n101\n011", "ascii")
         assert fractal_matrix(2, 2) == expected
         assert fractal_matrix_blockwise(2, 2) == expected
 
@@ -71,9 +71,11 @@ class TestConstruction:
         assert (params.k, params.ell) == (4, 3)
         with pytest.raises(ValueError):
             FractalParams(0, 3)
-        # the 64-bit dimension guard of the builders holds for the params too
-        with pytest.raises(ValueError):
-            FractalParams(40, 40)
+        # the size limit of the builders, MAX_DIMENSION, holds for the params too
+        for k, ell in [(40, 40), (30, 30)]:
+            with pytest.raises(ValueError, match="past the limit"):
+                FractalParams(k, ell)
+        assert FractalParams(9, 8).ell == 8
 
 
 class TestStructuralLaws:

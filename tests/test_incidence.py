@@ -19,8 +19,8 @@ def containment_oracle(low, high, n):
     """Direct subset-containment evaluation, independent of incidence_matrix."""
     rows = list(combinations(range(1, n + 1), low))
     cols = list(combinations(range(1, n + 1), high))
-    data = [[1 if set(a) <= set(b) else 0 for b in cols] for a in rows]
-    return BinaryMatrix.from_rows(data)
+    ones = [(i, j) for i, a in enumerate(rows) for j, b in enumerate(cols) if set(a) <= set(b)]
+    return BinaryMatrix.from_coords(len(rows), len(cols), ones)
 
 
 class TestIncidenceMatrix:

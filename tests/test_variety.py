@@ -152,6 +152,24 @@ class TestRationalPoints:
         assert err.value.required == 2**14
         assert "16384" in str(err.value)
 
+    def test_budget_refused_before_the_system_is_built(self, monkeypatch):
+        def unbuildable(*args, **kwargs):
+            raise AssertionError("the system was built")
+
+        monkeypatch.setattr(variety, "plucker_matrix", unbuildable)
+        # d >= C(18, 9) - C(18, 7) = 16796
+        with pytest.raises(BudgetExceededError) as err:
+            rational_points(9, 9, 2)
+        assert err.value.required == 2**16796
+        assert "at least 2**16796" in str(err.value)
+
+    @pytest.mark.parametrize("route", [rational_points, oracle_points])
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_an_error(self, route, budget):
+        with pytest.raises(ValueError, match="budget must be a positive integer") as err:
+            route(2, 2, 2, budget=budget)
+        assert not isinstance(err.value, BudgetExceededError)
+
     def test_int64_limit_refused_before_enumeration(self):
         q = 2**31 - 1
         with pytest.raises(ValueError, match=r"2\*\*63") as err:
