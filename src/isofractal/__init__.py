@@ -52,7 +52,6 @@ from .variety import (
     BudgetExceededError,
     PointSet,
     QuadraticRelation,
-    evaluate_relation,
     expected_count,
     oracle_points,
     quadratic_relations,

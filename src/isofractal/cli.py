@@ -312,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def main_entry() -> None:

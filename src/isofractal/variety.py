@@ -2,10 +2,12 @@
 
 Two independent routes produce the same point set:
 
-* ``rational_points``: solve the linear system, pull every quadratic exchange
-  relation back to a quadratic form in the kernel coefficients, and search the
-  coefficients level by level, dropping a partial assignment as soon as a
-  reduced form whose variables are all set is nonzero,
+* ``rational_points``: solve the linear system, reduce the kernel basis to
+  echelon form in coordinate order, pull every quadratic exchange relation
+  back to a form in its coefficients, and search them level by level, each
+  form evaluated once per partial assignment as g + v*h + u*v**2 in the next
+  coefficient v and only the survivors kept.  The points come out normalized
+  and distinct; both are checked (``ArithmeticError``),
 * ``oracle_points``: build the reduced echelon basis of every isotropic
   k-dimensional subspace row by row, extending a partial basis only by rows
   that pair to zero with the rows already chosen, and push the bases through
@@ -26,12 +28,12 @@ from itertools import chain, combinations, permutations, product
 
 import numpy as np
 
-from .combinat import IndexTuple, index_tuples, rank
-from .gf import (FieldMatrix, FieldVector, PrimeField, SparseRow, kernel_basis,
-                 normalize_projective, projective_count, rref)
+from .combinat import IndexTuple, index_tuples
+from .gf import FieldMatrix, FieldVector, PrimeField, kernel_basis, projective_count, rref
 from .plucker import SymplecticForm, plucker_matrix
 
 DEFAULT_BUDGET = 1 << 25
+_RELATION_BATCH = 64  # relations per pullback matmul
 
 
 class BudgetExceededError(ValueError):
@@ -70,43 +72,25 @@ def quadratic_relations(n: int, k: int) -> list[QuadraticRelation]:
 
 
 def _relation_terms(
-    rel: QuadraticRelation, n: int, k: int
+    rel: QuadraticRelation, index: dict[IndexTuple, int]
 ) -> list[tuple[int, int, int]]:
-    """Compile a relation to (sign, first coordinate rank, second coordinate rank).
+    """Compile a relation to (sign, first coordinate index, second coordinate index).
 
-    Terms whose extended tuple repeats an entry vanish and are dropped.  The
-    sign combines the alternating position sign with the parity of sorting the
-    appended entry into place.
+    ``index`` maps each k-tuple label to its coordinate.  Terms whose extended
+    tuple repeats an entry vanish and are dropped.  The sign combines the
+    alternating position sign with the parity of sorting the appended entry
+    into place.
     """
-    m = 2 * n
     alpha_set = set(rel.alpha)
     terms = []
     for pos, b in enumerate(rel.beta, start=1):
         if b in alpha_set:
             continue
         inversions = sum(1 for a in rel.alpha if a > b)
-        sign = (-1) ** (pos + inversions)
         first = tuple(sorted(rel.alpha + (b,)))
-        second = tuple(v for v in rel.beta if v != b)
-        terms.append((sign, rank(first, m), rank(second, m)))
+        second = rel.beta[: pos - 1] + rel.beta[pos:]
+        terms.append(((-1) ** (pos + inversions), index[first], index[second]))
     return terms
-
-
-def evaluate_relation(
-    rel: QuadraticRelation, w: list[int] | FieldVector, n: int, k: int, field: PrimeField
-) -> int:
-    """Value of the exchange relation on a coordinate vector over GF(p).
-
-    A coordinate on a tuple with a repeated entry is zero; a coordinate on an
-    unsorted tuple is the sorted coordinate times the sorting sign.
-    """
-    if len(w) != math.comb(2 * n, k):
-        raise ValueError(f"vector length {len(w)} != C({2 * n}, {k})")
-    p = field.p
-    total = 0
-    for sign, i1, i2 in _relation_terms(rel, n, k):
-        total += sign * w[i1] * w[i2]
-    return total % p
 
 
 @dataclass(frozen=True)
@@ -163,16 +147,24 @@ def _pullback_forms(relations: list[QuadraticRelation], basis: np.ndarray,
     """Row r: relation r at c @ basis as a form in c, one column per monomial.
 
     With M = sum of sign * B[:, i1] B[:, i2]^T over the terms, u_aa = M_aa and
-    u_ab = M_ab + M_ba; nothing is halved, so every characteristic works.
+    u_ab = M_ab + M_ba; nothing is halved, so every characteristic works.  A
+    relation has at most k + 1 terms (never none: |beta| = |alpha| + 2), so
+    every relation is padded to k + 1 with zero-signed terms, and the M of
+    ``_RELATION_BATCH`` relations at a time, which bounds the d x d
+    temporaries, come from one batched matmul.
     """
+    index = {label: i for i, label in enumerate(index_tuples(k, 2 * n))}
+    padded = [terms + [(0, 0, 0)] * (k + 1 - len(terms))
+              for terms in (_relation_terms(rel, index) for rel in relations)]
+    terms = np.array(padded, dtype=np.int64)
+    columns = basis.T
     first, second = _monomials(len(basis))
-    forms = np.zeros((len(relations), len(first)), dtype=np.int64)
-    for r, rel in enumerate(relations):
-        terms = _relation_terms(rel, n, k)  # never empty: |beta| = |alpha| + 2
-        signs, i1, i2 = (np.array(col, dtype=np.int64) for col in zip(*terms))
-        m = (basis[:, i1] * signs) @ basis[:, i2].T
-        upper = np.triu(m) + np.tril(m, -1).T
-        forms[r] = upper[first, second]
+    forms = np.empty((len(relations), len(first)), dtype=np.int64)
+    for start in range(0, len(relations), _RELATION_BATCH):
+        signs, i1, i2 = terms[start: start + _RELATION_BATCH].transpose(2, 0, 1)
+        m = (columns[i1] * signs[..., None]).transpose(0, 2, 1) @ columns[i2]
+        forms[start: start + _RELATION_BATCH] = (m[:, first, second]
+                                                 + m[:, second, first] * (first != second))
     return forms % q
 
 
@@ -189,32 +181,46 @@ def _refuse_kernel_search(d: int, q: int, budget: int, what: str) -> None:
         raise BudgetExceededError(required=q**d, budget=budget, what=what)
 
 
-def _sparse_rows(a: np.ndarray) -> tuple[SparseRow, ...]:
-    """The rows of a 2-d array as ``(column, value)`` pairs, gathered in one numpy pass."""
+def _echelon(a: np.ndarray, field: PrimeField) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The nonzero rows of the reduced echelon form of a 2-d array, dense, and their pivots."""
     rows, cols = np.nonzero(a)
     pairs = list(zip(cols.tolist(), a[rows, cols].tolist()))
     ends = np.cumsum(np.count_nonzero(a, axis=1)).tolist()
-    return tuple(tuple(pairs[start:end]) for start, end in zip([0] + ends, ends))
+    sparse = tuple(tuple(pairs[start:end]) for start, end in zip([0] + ends, ends))
+    echelon = rref(FieldMatrix(field, sparse, a.shape[1]))
+    reduced = echelon.matrix.nonzeros[: echelon.rank]
+    cols, values = np.fromiter(chain.from_iterable(chain.from_iterable(reduced)),
+                               dtype=np.int64).reshape(-1, 2).T
+    dense = np.zeros((echelon.rank, a.shape[1]), dtype=np.int64)
+    dense[np.repeat(np.arange(echelon.rank), [len(row) for row in reduced]), cols] = values
+    return dense, echelon.pivots
 
 
 def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> PointSet:
     """Kernel representatives surviving every quadratic relation.
 
-    The relations, pulled back to forms in the d kernel coefficients, are
-    reduced to an echelon basis whose forms are each keyed to the first level
-    (coefficient) that sets all their variables.  For each leading position
-    (fixed to 1) a frontier of partial coefficient vectors is extended by the q
-    values of each next coefficient, dropping rows where a form keyed to that
-    level is nonzero.  ``examined`` counts the projective classes decided.
+    The d kernel vectors are reduced to echelon form by coordinate order, and
+    the relations, pulled back to forms in their coefficients, to an echelon
+    basis of forms, each keyed to the first level (coefficient) that sets all
+    its variables.  For each lead, fixed to 1 with the coefficients before it
+    0, a frontier holds the coefficients from the lead up to the level.  On a
+    row extended by v, a form keyed to the level is g + v*h + u*v**2: g the
+    form on the row, h its part linear in v, u its diagonal constant.  Each
+    form is evaluated once per row, and only the (row, v) pairs on which every
+    form vanishes are kept.  ``examined`` counts the projective classes decided.
+
+    A combination led by coefficient i is 1 at pivot i and zero before it, so
+    the points come out normalized and distinct; both facts are checked, and
+    either failing raises ``ArithmeticError``.
 
     Raises ``ValueError`` for a budget below 1, and unless d*d*(q - 1)**3 <
-    2**63, since the largest int64 intermediate, a form on the frontier, sums
-    d*d products below q**3; then :class:`BudgetExceededError` when q**d
-    exceeds the budget.  The d >= 1 case, (q - 1)**3 < 2**63, is checked before
-    the field is built, so a huge q is refused without testing its primality.
-    Both refusals are first made for d >= C(2n, k) - C(2n, k - 2), the column
-    count less the row count of the system, before the system is built, and
-    then for the exact d.
+    2**63, since the largest int64 intermediate, g on the frontier, sums at
+    most d*d products below q**3 (h is reduced mod q before it meets v); then
+    :class:`BudgetExceededError` when q**d exceeds the budget.  The d >= 1
+    case, (q - 1)**3 < 2**63, is checked before the field is built, so a huge
+    q is refused without testing its primality.  Both refusals are first made
+    for d >= C(2n, k) - C(2n, k - 2), the column count less the row count of
+    the system, before the system is built, and then for the exact d.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
@@ -227,34 +233,46 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
     what = f"kernel enumeration for (n={n}, k={k}, q={q})"
     _refuse_kernel_search(math.comb(2 * n, k) - math.comb(2 * n, k - 2), q, budget, what)
     pm = plucker_matrix(n, k, signed=True)
-    basis = kernel_basis(pm.field_matrix(field))
-    d = len(basis)
+    kernel = kernel_basis(pm.field_matrix(field))
+    d = len(kernel)
     _refuse_kernel_search(d, q, budget, what)
-    basis_arr = np.array(basis, dtype=np.int64)  # d >= 1: C(2n, k) > C(2n, k - 2)
-    forms = _pullback_forms(quadratic_relations(n, k), basis_arr, n, k, q)
+    # d >= 1: C(2n, k) > C(2n, k - 2)
+    basis, pivots = _echelon(np.array(kernel, dtype=np.int64), field)
+    forms = _pullback_forms(quadratic_relations(n, k), basis, n, k, q)
     first, second = _monomials(d)
-    echelon = rref(FieldMatrix(field, _sparse_rows(forms), len(first)))
-    reduced = echelon.matrix.nonzeros[: echelon.rank]
-    cols, residues = np.fromiter(chain.from_iterable(chain.from_iterable(reduced)),
-                                 dtype=np.int64).reshape(-1, 2).T
-    owner = np.repeat(np.arange(echelon.rank), [len(row) for row in reduced])
-    upper = np.zeros((echelon.rank, d, d), dtype=np.int64)
-    upper[owner, first[cols], second[cols]] = residues
-    keys = second[list(echelon.pivots)]
+    reduced, form_pivots = _echelon(forms, field)
+    # the pivots ascend and the monomials descend, so the keys descend: reverse
+    keys = second[list(form_pivots)][::-1]
+    upper = np.zeros((len(keys), d, d), dtype=np.int64)
+    upper[:, first, second] = reduced[::-1]
+    bounds = np.searchsorted(keys, np.arange(d + 1))
 
     points: set[FieldVector] = set()
+    found = 0
     for lead in range(d):
-        frontier = np.zeros((1, lead + 1), dtype=np.int64)
-        frontier[0, lead] = 1
+        frontier = np.zeros((1, 0), dtype=np.int64)
         for level in range(lead, d):
-            if level > lead:
-                frontier = np.column_stack([np.repeat(frontier, q, axis=0),
-                                            np.tile(np.arange(q), len(frontier))])
-            level_forms = upper[keys == level, : level + 1, : level + 1]
-            values = np.einsum("ra,fab,rb->rf", frontier, level_forms, frontier) % q
-            frontier = frontier[~values.any(axis=1)]
-        for row in (frontier @ basis_arr) % q:
-            points.add(normalize_projective([int(v) for v in row], field))
+            values = np.arange(q) if level > lead else np.ones(1, dtype=np.int64)
+            level_forms = upper[bounds[level]: bounds[level + 1], lead: level + 1, lead: level + 1]
+            g = np.einsum("pa,rab,pb->pr", frontier, level_forms[:, :-1, :-1], frontier) % q
+            h = frontier @ level_forms[:, :-1, -1].T % q
+            u = level_forms[:, -1, -1]
+            vanish = ~((g[:, None, :] + values[:, None] * h[:, None, :]
+                        + values[:, None] ** 2 * u) % q).any(axis=2)
+            parent, child = np.nonzero(vanish)
+            frontier = np.column_stack([frontier[parent], values[child]])
+            if not len(frontier):
+                break
+        else:
+            rows = frontier @ basis[lead:] % q
+            if rows[:, : pivots[lead]].any() or (rows[:, pivots[lead]] != 1).any():
+                raise ArithmeticError(f"a kernel combination led by coefficient {lead} "
+                                      "gave a point whose first nonzero is not 1 at "
+                                      f"pivot {pivots[lead]}")
+            found += len(rows)
+            points.update(map(tuple, rows.tolist()))
+    if len(points) != found:
+        raise ArithmeticError(f"{found} kernel combinations gave {len(points)} points")
     return PointSet(n=n, k=k, q=q, points=frozenset(points),
                     examined=projective_count(d, q))
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from isofractal import fractal
+from isofractal import fractal, variety
 from isofractal.cli import main
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -204,6 +204,35 @@ class TestPointsCommand:
                      "--out", str(tmp_path / "p2.txt"),
                      "--summary-out", str(tmp_path / "s2.json")])
         assert code == 0
+
+    def test_failed_oracle_check_exits_one(self, tmp_path, monkeypatch, capsys):
+        minors = variety._wedge_minors
+        monkeypatch.setattr(variety, "_wedge_minors",
+                            lambda bases, q: 2 * minors(bases, q) % q)
+        code = main(["points", "--n", "2", "--k", "2", "--q", "3", "--oracle",
+                     "--out", str(tmp_path / "pts.txt"),
+                     "--summary-out", str(tmp_path / "summary.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: internal check failed:" in err and "first nonzero" in err
+
+    def test_failed_kernel_check_exits_one(self, tmp_path, monkeypatch, capsys):
+        # every echelon form doubled: the reduced forms keep their zeros, and
+        # the kernel basis is 2, not 1, at its pivots
+        echelon = variety._echelon
+
+        def doubled(a, field):
+            rows, pivots = echelon(a, field)
+            return 2 * rows % field.p, pivots
+
+        monkeypatch.setattr(variety, "_echelon", doubled)
+        code = main(["points", "--n", "2", "--k", "2", "--q", "3",
+                     "--out", str(tmp_path / "pts.txt"),
+                     "--summary-out", str(tmp_path / "summary.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: internal check failed:" in err and "first nonzero" in err
+        assert not (tmp_path / "pts.txt").exists()
 
     def test_unsigned_is_not_an_option(self):
         with pytest.raises(SystemExit) as err:

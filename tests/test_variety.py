@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from isofractal import variety
-from isofractal.combinat import index_tuples
+from isofractal.combinat import index_tuples, rank
 from isofractal.gf import PrimeField, kernel_basis, normalize_projective
 from isofractal.plucker import plucker_matrix
 from isofractal.variety import (
@@ -15,7 +15,6 @@ from isofractal.variety import (
     QuadraticRelation,
     _monomials,
     _pullback_forms,
-    evaluate_relation,
     expected_count,
     oracle_points,
     quadratic_relations,
@@ -43,6 +42,33 @@ class TestQuadraticRelations:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             quadratic_relations(2, 3)
+
+
+# the points-ladder instances of the benchmark and the verify points suite
+REFERENCE_INSTANCES = [(2, 2, 2), (2, 2, 3), (2, 2, 5), (3, 2, 2), (3, 3, 2),
+                       (3, 2, 3), (3, 3, 3)]
+
+
+def evaluate_relation(rel, w, n, k, field):
+    """Value of the exchange relation on a coordinate vector over GF(p).
+
+    Written out from the definition, each coordinate ranked with
+    ``combinat.rank``: sum over the entries b of beta, at position pos, of
+    (-1)**pos * X[alpha + b] * X[beta - b], where X on an unsorted tuple is the
+    sorted coordinate times the sorting sign and X on a repeated entry is 0.
+    """
+    m = 2 * n
+    if len(w) != math.comb(m, k):
+        raise ValueError(f"vector length {len(w)} != C({m}, {k})")
+    total = 0
+    for pos, b in enumerate(rel.beta, start=1):
+        if b in rel.alpha:
+            continue
+        inversions = sum(1 for a in rel.alpha if a > b)
+        first = rank(tuple(sorted(rel.alpha + (b,))), m)
+        second = rank(tuple(v for v in rel.beta if v != b), m)
+        total += (-1) ** (pos + inversions) * w[first] * w[second]
+    return total % field.p
 
 
 def vector_with(n, k, assignments):
@@ -131,11 +157,35 @@ class TestRationalPoints:
         assert rejected == result.examined - 40
 
     def test_oracle_equality_small(self):
-        for n, k, q in [(2, 2, 2), (2, 2, 3), (3, 2, 2)]:
+        for n, k, q in REFERENCE_INSTANCES:
             found = rational_points(n, k, q)
             oracle = oracle_points(n, k, q)
             assert found.points == oracle.points
             assert found.count == expected_count(n, k, q)
+
+    @pytest.mark.parametrize("n,k,q", [(2, 2, 5), (3, 2, 3), (3, 3, 2)])
+    def test_points_lead_with_one_at_a_basis_pivot(self, n, k, q):
+        field = PrimeField(q)
+        kernel = kernel_basis(plucker_matrix(n, k, signed=True).field_matrix(field))
+        _, pivots = variety._echelon(np.array(kernel), field)
+        for point in rational_points(n, k, q).points:
+            first = next(i for i, x in enumerate(point) if x)
+            assert first in pivots
+            assert point[first] == 1
+
+    def test_unnormalized_echelon_basis_is_an_error(self, monkeypatch):
+        # every echelon form doubled: the reduced forms keep their zeros, and
+        # the kernel basis is 2, not 1, at its pivots
+        echelon = variety._echelon
+
+        def doubled(a, field):
+            rows, pivots = echelon(a, field)
+            assert (rows[np.arange(len(pivots)), list(pivots)] == 1).all()
+            return 2 * rows % field.p, pivots
+
+        monkeypatch.setattr(variety, "_echelon", doubled)
+        with pytest.raises(ArithmeticError, match="first nonzero"):
+            rational_points(2, 2, 3)
 
     def test_points_are_normalized_kernel_members(self):
         result = rational_points(2, 2, 3)
@@ -240,11 +290,6 @@ def reference_oracle(n, k, q):
                    for cols in col_combos]
             points.add(normalize_projective(vec, field))
     return frozenset(points), examined
-
-
-# the points-ladder instances of the benchmark and the verify points suite
-REFERENCE_INSTANCES = [(2, 2, 2), (2, 2, 3), (2, 2, 5), (3, 2, 2), (3, 3, 2),
-                       (3, 2, 3), (3, 3, 3)]
 
 
 class TestOracleAgainstReference:
