@@ -28,7 +28,6 @@ from .gf import (
     FieldMatrix,
     PrimeField,
     kernel_basis,
-    normalize_projective,
     projective_count,
     rref,
 )
@@ -56,7 +55,6 @@ from .variety import (
     oracle_points,
     quadratic_relations,
     rational_points,
-    subspace_count,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Exact linear algebra over prime fields.
 
 Reduced row echelon form with deterministic pivoting (first nonzero entry,
-columns scanned left to right), rank, nullspace bases, and the projective
-normalization of a vector (first nonzero coordinate scaled to 1).
+columns scanned left to right), rank, nullspace bases, and the number of
+projective classes of a space.
 
 Matrices are stored row-sparse: each row is its nonzero ``(column, residue)``
 pairs in ascending column order, so the contraction system, whose rows hold
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
 
 from .bitmatrix import check_rows, row_components
 
@@ -174,16 +173,3 @@ def projective_count(d: int, p: int) -> int:
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
     return 0 if d == 0 else (p**d - 1) // (p - 1)
-
-
-def normalize_projective(v: Sequence[int], field: PrimeField) -> FieldVector:
-    """Scale so the first nonzero coordinate is 1; rejects the zero vector."""
-    p = field.p
-    reduced = [x % p for x in v]
-    lead = next((x for x in reduced if x), None)
-    if lead is None:
-        raise ValueError("the zero vector has no projective representative")
-    if lead == 1:
-        return tuple(reduced)
-    inv = field.inv(lead)
-    return tuple((x * inv) % p for x in reduced)

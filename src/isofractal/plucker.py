@@ -66,12 +66,6 @@ class SymplecticForm:
             raise ValueError(f"vectors must have length {m}")
         return [x[m - 1 - c] if c >= self.n else -x[m - 1 - c] for c in range(m)]
 
-    def pair_vectors(self, x: list[int], y: list[int]) -> int:
-        """Pairing of coordinate vectors (plain integer arithmetic, 0-based lists)."""
-        if len(y) != 2 * self.n:
-            raise ValueError(f"vectors must have length {2 * self.n}")
-        return sum(a * b for a, b in zip(self.dual(x), y))
-
 
 @dataclass(frozen=True)
 class PluckerMatrix:

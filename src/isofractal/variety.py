@@ -8,15 +8,20 @@ Two independent routes produce the same point set:
   form evaluated once per partial assignment as g + v*h + u*v**2 in the next
   coefficient v and only the survivors kept.  The points come out normalized
   and distinct; both are checked (``ArithmeticError``),
-* ``oracle_points``: build the reduced echelon basis of every isotropic
-  k-dimensional subspace row by row, extending a partial basis only by rows
-  that pair to zero with the rows already chosen, and push the bases through
-  the minor (wedge coordinate) map in streamed numpy batches.  It uses neither
-  the linear system nor the relations, and its budget bounds the search nodes
-  (accepted echelon rows) as they are visited.
+* ``oracle_points``: for each pivot set, build the reduced echelon bases of
+  the isotropic k-dimensional subspaces level by level, the same shape as the
+  kernel search: a numpy frontier of partial bases grows by one echelon row
+  per level, taking every value of the row's free cells and solving the
+  cells that make it pair to zero with the rows above.  The complete bases go
+  through the minor (wedge coordinate) map, a Laplace expansion one row at a
+  time, in slices.  It uses neither the linear system nor the relations, and
+  its budget bounds the search nodes (accepted echelon rows), checked once
+  per level before the level is built.
 
 ``expected_count`` evaluates the closed-form cardinality, which both routes
-must reproduce.
+must reproduce.  It also sizes the point set up front: both routes refuse an
+instance whose points would hold more than ``MAX_HELD_COORDINATES``
+coordinates.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -33,19 +38,26 @@ from .gf import FieldMatrix, FieldVector, PrimeField, kernel_basis, projective_c
 from .plucker import SymplecticForm, plucker_matrix
 
 DEFAULT_BUDGET = 1 << 25
+# Both routes return each point as a tuple of C(2n, k) coordinates in a set,
+# about 11.4 traced bytes per coordinate at (4, 2, 3), so this keeps a point
+# set near 380 MB; (5, 5, 2) holds 19.1M coordinates, (5, 2, 3) would hold 1.09G.
+MAX_HELD_COORDINATES = 1 << 25
 _RELATION_BATCH = 64  # relations per pullback matmul
 
 
 class BudgetExceededError(ValueError):
-    """Enumeration would exceed the configured budget; carries a lower bound on the need."""
+    """Work or held points would pass a limit; carries a lower bound on the need.
 
-    def __init__(self, required: int, budget: int, what: str):
+    The limit is the configured budget, or ``MAX_HELD_COORDINATES`` for the
+    points both routes return.
+    """
+
+    def __init__(self, required: int, budget: int, what: str,
+                 limit: str = "configured budget"):
         # q**d can run to thousands of digits, past the int-to-str limit; past
         # 64 bits the message names the power of two below it, still a bound
         shown = required if required.bit_length() <= 64 else f"2**{required.bit_length() - 1}"
-        super().__init__(
-            f"{what} needs a budget of at least {shown}, configured budget is {budget}"
-        )
+        super().__init__(f"{what} needs a budget of at least {shown}, {limit} is {budget}")
         self.required = required
         self.budget = budget
 
@@ -125,17 +137,6 @@ def expected_count(n: int, k: int, q: int) -> int:
     return int(acc)
 
 
-def subspace_count(m: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of GF(q)^m (Gaussian binomial)."""
-    if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
-    acc = Fraction(1)
-    for i in range(k):
-        acc *= Fraction(q ** (m - i) - 1, q ** (k - i) - 1)
-    assert acc.denominator == 1
-    return int(acc)
-
-
 def _monomials(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Monomials c_a c_b (a <= b) as index arrays, by descending highest variable b."""
     second, first = np.tril_indices(d)
@@ -181,6 +182,21 @@ def _refuse_kernel_search(d: int, q: int, budget: int, what: str) -> None:
         raise BudgetExceededError(required=q**d, budget=budget, what=what)
 
 
+def _refuse_held_points(n: int, k: int, q: int) -> None:
+    """Refuse an instance whose point set alone would pass MAX_HELD_COORDINATES.
+
+    Both routes return every point as a tuple of C(2n, k) coordinates, and the
+    closed form gives the point count before any work is done.
+    """
+    held = expected_count(n, k, q) * math.comb(2 * n, k)
+    if held > MAX_HELD_COORDINATES:
+        raise BudgetExceededError(
+            required=held, budget=MAX_HELD_COORDINATES,
+            what=(f"holding the points of (n={n}, k={k}, q={q}), "
+                  f"{math.comb(2 * n, k)} coordinates each,"),
+            limit="the held-coordinate limit MAX_HELD_COORDINATES")
+
+
 def _echelon(a: np.ndarray, field: PrimeField) -> tuple[np.ndarray, tuple[int, ...]]:
     """The nonzero rows of the reduced echelon form of a 2-d array, dense, and their pivots."""
     rows, cols = np.nonzero(a)
@@ -220,7 +236,9 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
     case, (q - 1)**3 < 2**63, is checked before the field is built, so a huge
     q is refused without testing its primality.  Both refusals are first made
     for d >= C(2n, k) - C(2n, k - 2), the column count less the row count of
-    the system, before the system is built, and then for the exact d.
+    the system, before the system is built, and then for the exact d.  Between
+    the two, a point set that would pass ``MAX_HELD_COORDINATES`` coordinates
+    is refused with :class:`BudgetExceededError`.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
@@ -232,6 +250,7 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
     field = PrimeField(q)
     what = f"kernel enumeration for (n={n}, k={k}, q={q})"
     _refuse_kernel_search(math.comb(2 * n, k) - math.comb(2 * n, k - 2), q, budget, what)
+    _refuse_held_points(n, k, q)
     pm = plucker_matrix(n, k, signed=True)
     kernel = kernel_basis(pm.field_matrix(field))
     d = len(kernel)
@@ -280,120 +299,110 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
 def _wedge_minors(bases: np.ndarray, q: int) -> np.ndarray:
     """All k x k minors mod q of each k x m basis, columns in lexicographic order.
 
-    Leibniz expansion over the k! permutations, one gather per permutation and
-    row.  Each product and each running sum is reduced mod q at once, so no
-    intermediate reaches 2**63 while (q - 1)**2 < 2**63.
+    Laplace expansion along one row at a time: the minor of rows 0..i on
+    columns s_0 < ... < s_i is the sum over t of (-1)**(i + t) times the entry
+    of row i at s_t times the minor of rows 0..i-1 on the other columns.  Each
+    level reads the C(m, i) minors of the level before through one index
+    table and is reduced mod q once, so no intermediate passes (i + 1) *
+    (q - 1)**2, which the caller keeps below 2**63.
     """
     _, k, m = bases.shape
-    cols = np.array(list(combinations(range(m), k)), dtype=np.intp)
-    total = np.zeros((len(bases), len(cols)), dtype=np.int64)
-    for perm in permutations(range(k)):
-        term = bases[:, 0, cols[:, perm[0]]]
-        for i in range(1, k):
-            term *= bases[:, i, cols[:, perm[i]]]
-            term %= q
-        if sum(a > b for a, b in combinations(perm, 2)) % 2:
-            total -= term
-        else:
-            total += term
-        total %= q
-    return total
+    minors = np.ones((len(bases), 1), dtype=np.int64)
+    for i in range(k):
+        below = {cols: r for r, cols in enumerate(combinations(range(m), i))}
+        cols = list(combinations(range(m), i + 1))
+        rest = [[below[s[:t] + s[t + 1:]] for t in range(i + 1)] for s in cols]
+        signs = (-1) ** (i + np.arange(i + 1))
+        minors = bases[:, i, np.array(cols)] * minors[:, np.array(rest)] @ signs % q
+    return minors
 
 
-_CHUNK = 256  # leaves per minor pass; holding every basis at once costs memory
+_CHUNK = 256  # bases per minor pass; a whole cell at once tripled the traced peak at (4, 3, 2)
 
 
 def oracle_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> PointSet:
     """Brute-force route: wedge coordinates of every isotropic k-subspace.
 
     Each subspace of GF(q)^(2n) has one reduced echelon basis, with pivots
-    p_0 < ... < p_(k-1).  The search builds those bases row by row, pivot set
-    by pivot set, and extends a partial basis only by rows that pair to zero
-    with every row already chosen, so no non-isotropic subspace is built.  The
-    pairing with the earlier row j is the linear form dual(r_j).  As r_j is 1
-    at p_j and zero before p_j and at the other pivots, dual(r_j) is +-1 at
-    the partner cell c_j = 2n-1-p_j, zero past it, and zero at the partner
-    cell of every other pivot.  Hence:
+    p_0 < ... < p_(k-1).  For each pivot set in lexicographic order, a numpy
+    frontier of partial bases is extended one echelon row per level, by rows
+    that pair to zero with every row already chosen, so no non-isotropic
+    subspace is built.  The pairing with the earlier row j is the linear form
+    w = dual(r_j).  As r_j is 1 at p_j and zero before p_j and at the other
+    pivots, w is +-1 at the partner cell c_j = 2n-1-p_j, zero past it, and
+    zero at the partner cell of every other pivot.  Hence:
 
     * a pivot set holding a partner pair {p_j, c_j} pairs row j and the row
       pivoting at c_j to +-1 whatever the free cells hold; it is skipped;
     * otherwise row i must satisfy, for each earlier j with c_j > p_i, one
-      equation, and only that equation touches cell c_j, a free cell of row i:
-      the small affine system is already solved for those cells, and its
-      solutions are the q**(free cells - equations) choices of the rest.  The
+      equation, and only that equation touches cell c_j, a free cell of row i.
+      A level takes every value of row i's other free cells for every partial
+      basis and sets each such c_j at once to -w[c_j] * (w . row).  The
       earlier rows with c_j < p_i vanish on row i's cells.
 
-    Complete bases are streamed in chunks of ``_CHUNK`` through one numpy pass
-    computing all C(2n, k) minors, in lexicographic column order.  An echelon
-    basis has pivot minor 1 and zero minors before it, so its minor vector is
-    already normalized; this is checked, as is that the distinct subspaces gave
-    distinct points.  Either check failing raises ``ArithmeticError``.
+    The complete bases of a pivot set go through ``_wedge_minors`` in slices
+    of ``_CHUNK``, giving all C(2n, k) minors in lexicographic column order.
+    An echelon basis has pivot minor 1 and zero minors before it, so its minor
+    vector is already normalized; this is checked, as is that the distinct
+    subspaces gave distinct points.  Either check failing raises
+    ``ArithmeticError``.
 
     ``examined`` counts the search nodes, that is the accepted echelon rows at
-    every depth.  They are counted as they are visited, and visiting more than
-    ``budget`` raises :class:`BudgetExceededError` whose ``required`` is a
-    lower bound (nodes visited + 1) and whose message names the depth reached;
-    a budget below 1 raises ``ValueError``.  The minors are exact in int64
-    only while (q - 1)**2 < 2**63; a larger q raises ``ValueError`` before the
-    field is built.
+    every depth.  Each level's batch is counted before it is built, and a
+    batch that would take the count past ``budget`` raises
+    :class:`BudgetExceededError`, whose ``required`` is the nodes visited plus
+    that batch and whose message names the echelon row; a budget below 1
+    raises ``ValueError``.  The pairing sums 2n products below q**2 in int64,
+    so ``ValueError`` is raised unless 2n*(q-1)**2 < 2**63, before the field
+    is built; then the point set is refused as by ``rational_points`` when it
+    would pass ``MAX_HELD_COORDINATES``.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget}")
-    if (q - 1) ** 2 >= 2**63:
-        raise ValueError(f"q={q} overflows int64: the minors need (q-1)**2 < 2**63")
-    PrimeField(q)  # validates primality
+    if 2 * n * (q - 1) ** 2 >= 2**63:
+        raise ValueError(f"q={q} overflows int64: the pairing needs "
+                         f"2n*(q-1)**2 < 2**63, here n={n}")
+    _refuse_held_points(n, k, q)  # validates primality
     m = 2 * n
-    form = SymplecticForm(n)
+    gram = np.array([SymplecticForm(n).dual(unit) for unit in np.eye(m, dtype=int).tolist()],
+                    dtype=np.int64)
     points: set[FieldVector] = set()
-    chunk: list[list[list[int]]] = []
     nodes = leaves = 0
-
-    def flush() -> None:
-        minors = _wedge_minors(np.array(chunk, dtype=np.int64), q)
-        lead = minors[np.arange(len(minors)), (minors != 0).argmax(axis=1)]
-        if (lead != 1).any():
-            raise ArithmeticError("an echelon basis has a minor vector whose first "
-                                  "nonzero is not 1")
-        points.update(map(tuple, minors.tolist()))
-        chunk.clear()
-
-    def extend(pivots: tuple[int, ...], rows: list[list[int]],
-               duals: list[list[int]]) -> None:
-        nonlocal nodes, leaves
-        i = len(rows)
-        pivot = pivots[i]
-        solved = [(duals[j], m - 1 - p) for j, p in enumerate(pivots[:i])
-                  if m - 1 - p > pivot]
-        fixed = set(pivots) | {c for _, c in solved}
-        cells = [c for c in range(pivot + 1, m) if c not in fixed]
-        for values in product(range(q), repeat=len(cells)):
-            row = [0] * m
-            row[pivot] = 1
-            for c, v in zip(cells, values):
-                row[c] = v
-            for w, c in solved:
-                row[c] = -w[c] * sum(a * b for a, b in zip(w, row)) % q
-            if nodes == budget:
+    for pivots in combinations(range(m), k):
+        if any(m - 1 - p in pivots for p in pivots):
+            continue
+        bases = np.zeros((1, 0, m), dtype=np.int64)
+        for i, pivot in enumerate(pivots):
+            solved = [(j, m - 1 - p) for j, p in enumerate(pivots[:i]) if m - 1 - p > pivot]
+            fixed = set(pivots) | {c for _, c in solved}
+            cells = [c for c in range(pivot + 1, m) if c not in fixed]
+            batch = len(bases) * q ** len(cells)
+            if nodes + batch > budget:
                 raise BudgetExceededError(
-                    required=nodes + 1, budget=budget,
+                    required=nodes + batch, budget=budget,
                     what=(f"isotropic subspace search for (n={n}, k={k}, q={q}), "
                           f"stopped at echelon row {i + 1} of {k},"))
-            nodes += 1
-            if i + 1 < k:
-                extend(pivots, rows + [row], duals + [form.dual(row)])
-                continue
-            chunk.append(rows + [row])
-            leaves += 1
-            if len(chunk) == _CHUNK:
-                flush()
-
-    for pivots in combinations(range(m), k):
-        if not any(m - 1 - p in pivots for p in pivots):
-            extend(pivots, [], [])
-    if chunk:
-        flush()
+            values = np.array(list(product(range(q), repeat=len(cells))), dtype=np.int64)
+            grown = np.zeros((len(bases), len(values), i + 1, m), dtype=np.int64)
+            grown[:, :, :i] = bases[:, None]
+            grown[:, :, i, pivot] = 1
+            grown[:, :, i, cells] = values
+            for j, c in solved:
+                w = bases[:, j] @ gram
+                pairing = np.einsum("pc,pvc->pv", w, grown[:, :, i])
+                grown[:, :, i, c] = -w[:, None, c] * pairing % q
+            bases = grown.reshape(-1, i + 1, m)
+            nodes += len(bases)
+        for start in range(0, len(bases), _CHUNK):
+            minors = _wedge_minors(bases[start: start + _CHUNK], q)
+            lead = minors[np.arange(len(minors)), (minors != 0).argmax(axis=1)]
+            if (lead != 1).any():
+                raise ArithmeticError("an echelon basis has a minor vector whose first "
+                                      "nonzero is not 1")
+            points.update(map(tuple, minors.tolist()))
+        leaves += len(bases)
     if len(points) != leaves:
         raise ArithmeticError(f"{leaves} isotropic subspaces gave {len(points)} points")
     return PointSet(n=n, k=k, q=q, points=frozenset(points), examined=nodes)

@@ -168,6 +168,15 @@ class TestPointsCommand:
         err = capsys.readouterr().err
         assert "refused" in err and "16384" in err
 
+    def test_held_points_refusal(self, capsys):
+        # the budget admits the kernel search; the 24,209,680 points of 45
+        # coordinates each would not fit the held-coordinate limit
+        code = main(["points", "--n", "5", "--k", "2", "--q", "3", "--oracle",
+                     "--budget", str(3**50)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "refused" in err and "1089435600" in err and "33554432" in err
+
     @pytest.mark.parametrize("command", [
         ["points", "--n", "2", "--k", "2", "--q", "2"],
         ["verify", "--suite", "points"],

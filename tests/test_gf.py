@@ -7,7 +7,6 @@ from isofractal.gf import (
     FieldMatrix,
     PrimeField,
     kernel_basis,
-    normalize_projective,
     rref,
 )
 from isofractal.plucker import plucker_matrix
@@ -316,9 +315,3 @@ class TestKernelBasis:
             # independence: stacking the basis loses no rank
             if basis:
                 assert rref(dense_matrix(f, basis)).rank == len(basis)
-
-
-class TestNormalizeProjective:
-    def test_normalize_rejects_zero(self):
-        with pytest.raises(ValueError):
-            normalize_projective([0, 0], PrimeField(3))

@@ -1,6 +1,8 @@
 import math
 import random
 import time
+import tracemalloc
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -8,18 +10,20 @@ import pytest
 
 from isofractal import variety
 from isofractal.combinat import index_tuples, rank
-from isofractal.gf import PrimeField, kernel_basis, normalize_projective
+from isofractal.gf import PrimeField, kernel_basis
 from isofractal.plucker import plucker_matrix
 from isofractal.variety import (
+    DEFAULT_BUDGET,
+    MAX_HELD_COORDINATES,
     BudgetExceededError,
     QuadraticRelation,
     _monomials,
     _pullback_forms,
+    _wedge_minors,
     expected_count,
     oracle_points,
     quadratic_relations,
     rational_points,
-    subspace_count,
 )
 
 
@@ -258,6 +262,26 @@ def det_mod(rows, p):
     return det % p
 
 
+def normalize_projective(v, field):
+    """Scale so the first nonzero coordinate is 1; rejects the zero vector."""
+    p = field.p
+    reduced = [x % p for x in v]
+    lead = next((x for x in reduced if x), None)
+    if lead is None:
+        raise ValueError("the zero vector has no projective representative")
+    inv = field.inv(lead)
+    return tuple((x * inv) % p for x in reduced)
+
+
+def subspace_count(m, k, q):
+    """Number of k-dimensional subspaces of GF(q)^m (Gaussian binomial)."""
+    acc = Fraction(1)
+    for i in range(k):
+        acc *= Fraction(q ** (m - i) - 1, q ** (k - i) - 1)
+    assert acc.denominator == 1
+    return int(acc)
+
+
 def reference_oracle(n, k, q):
     """Every k-subspace by reduced echelon basis, kept when isotropic, then minors.
 
@@ -300,6 +324,22 @@ class TestOracleAgainstReference:
         result = oracle_points(n, k, q)
         assert result.points == points
         assert result.count == expected_count(n, k, q)
+
+    def test_normalize_rejects_zero(self):
+        with pytest.raises(ValueError):
+            normalize_projective([0, 0], PrimeField(3))
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_wedge_minors_match_determinants(self, q):
+        rng = random.Random(q)
+        for k in range(1, 6):
+            for m in range(k, 11):
+                bases = np.array([[[rng.randrange(q) for _ in range(m)] for _ in range(k)]
+                                  for _ in range(3)], dtype=np.int64)
+                expected = [[det_mod([[row[c] for c in cols] for row in basis], q)
+                             for cols in combinations(range(m), k)]
+                            for basis in bases.tolist()]
+                assert _wedge_minors(bases, q).tolist() == expected
 
 
 class TestOraclePoints:
@@ -351,9 +391,10 @@ class TestOraclePoints:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError) as err:
             oracle_points(3, 3, 2, budget=10)
-        # a lower bound: the nodes visited plus the one refused
-        assert err.value.required == 11
-        assert "at least 11" in str(err.value)
+        # the nodes visited plus the batch refused: the 8 first rows of pivot
+        # set (0, 1, 2), then the 32 second rows that would follow them
+        assert err.value.required == 40
+        assert "at least 40" in str(err.value)
         assert "echelon row 2 of 3" in str(err.value)
         assert oracle_points(3, 3, 2, budget=281).examined == 281
         with pytest.raises(BudgetExceededError):
@@ -378,5 +419,35 @@ class TestOraclePoints:
         minors = variety._wedge_minors
         monkeypatch.setattr(variety, "_wedge_minors",
                             lambda bases, q: minors(bases[:1].repeat(len(bases), 0), q))
-        with pytest.raises(ArithmeticError, match="gave 1 points"):
+        # each of the four isotropic pivot sets collapses to one point
+        with pytest.raises(ArithmeticError, match="gave 4 points"):
             oracle_points(2, 2, 3)
+
+    def test_peak_memory_stays_near_the_points_held(self):
+        tracemalloc.start()
+        try:
+            result = oracle_points(4, 3, 2)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.count == 11475
+        assert peak <= 1.5 * held
+
+
+class TestHeldPointsRefusal:
+    @pytest.mark.parametrize("n,k,q,held", [(4, 4, 3, 6_428_800), (5, 5, 2, 19_085_220)])
+    def test_largest_reached_instances_are_accepted(self, n, k, q, held):
+        assert expected_count(n, k, q) * math.comb(2 * n, k) == held <= MAX_HELD_COORDINATES
+        variety._refuse_held_points(n, k, q)
+
+    @pytest.mark.parametrize("route,budget", [(oracle_points, DEFAULT_BUDGET),
+                                              (rational_points, 3**50)])
+    def test_refused_before_any_work(self, route, budget):
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as err:
+            route(5, 2, 3, budget=budget)
+        assert err.value.required == 24_209_680 * 45 == 1_089_435_600
+        assert err.value.budget == MAX_HELD_COORDINATES
+        assert "at least 1089435600, the held-coordinate limit" in str(err.value)
+        assert str(MAX_HELD_COORDINATES) in str(err.value)
+        assert time.perf_counter() - started < 1.0
