@@ -4,7 +4,25 @@
 import argparse
 import time
 
-from isofractal import DEFAULT_BUDGET, expected_count, oracle_points, rational_points
+from isofractal import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    expected_count,
+    oracle_points,
+    rational_points,
+)
+
+
+def run_route(route, n: int, k: int, q: int, budget: int, unit: str):
+    """One route's point set, or None if it refused, and its report."""
+    started = time.perf_counter()
+    try:
+        found = route(n, k, q, budget=budget)
+    except BudgetExceededError as refusal:
+        found, text = None, f"refused ({refusal})"
+    else:
+        text = f"{found.count} of {found.examined} {unit}"
+    return found, f"{text} [{time.perf_counter() - started:.2f}s]"
 
 
 def main() -> None:
@@ -22,19 +40,13 @@ def main() -> None:
     for triple in args.instances.split():
         n, k, q = (int(x) for x in triple.split(","))
         expected = expected_count(n, k, q)
-        started = time.perf_counter()
-        found = rational_points(n, k, q, budget=args.budget)
-        kernel_time = time.perf_counter() - started
-        line = (f"(n={n}, k={k}, q={q})  closed form {expected}; "
-                f"kernel search {found.count} of {found.examined} classes"
-                f" [{kernel_time:.2f}s]")
+        found, text = run_route(rational_points, n, k, q, args.budget, "classes")
+        line = f"(n={n}, k={k}, q={q})  closed form {expected}; kernel search {text}"
         if not args.skip_oracle:
-            started = time.perf_counter()
-            oracle = oracle_points(n, k, q, budget=args.budget)
-            oracle_time = time.perf_counter() - started
-            line += (f"; oracle {oracle.count} of {oracle.examined} nodes"
-                     f" [{oracle_time:.2f}s]"
-                     f" sets {'agree' if oracle.points == found.points else 'DIFFER'}")
+            oracle, text = run_route(oracle_points, n, k, q, args.budget, "nodes")
+            line += f"; oracle {text}"
+            if found is not None and oracle is not None:
+                line += f" sets {'agree' if oracle.points == found.points else 'DIFFER'}"
         print(line)
 
 

@@ -7,8 +7,9 @@ projective classes of a space.
 Matrices are stored row-sparse: each row is its nonzero ``(column, residue)``
 pairs in ascending column order, so the contraction system, whose rows hold
 at most n entries, is built and eliminated in memory proportional to its
-nonzeros.  Sparse rows are the only form a matrix is built from; only
-``kernel_basis`` returns dense vectors.
+nonzeros.  Sparse rows are the only form a matrix is built from.
+``kernel_basis`` alone returns a dense result: one int64 numpy array with a
+row per basis vector, filled by a single scatter from the reduced rows.
 
 Elimination works component by component.  ``bitmatrix.row_components``, the
 union-find that also splits the contraction system's support into blocks,
@@ -31,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+
+import numpy as np
 
 from .bitmatrix import check_rows, row_components
 
@@ -139,32 +142,45 @@ def rref(m: FieldMatrix) -> EchelonResult:
     return EchelonResult(FieldMatrix(m.field, tuple(rows), m.ncols), len(pivots), pivots)
 
 
-def kernel_basis(m: FieldMatrix) -> list[FieldVector]:
-    """A deterministic basis of the right nullspace, one vector per free column.
+def sparse_entries(rows: tuple[SparseRow, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row index, column and residue of each entry of sparse rows, as int64 arrays."""
+    cols, values = np.fromiter(chain.from_iterable(chain.from_iterable(rows)),
+                               dtype=np.int64).reshape(-1, 2).T
+    return np.repeat(np.arange(len(rows)), [len(row) for row in rows]), cols, values
 
-    Free columns are taken in ascending order; each basis vector has a 1 at
-    its free column and back-substituted pivot entries elsewhere.  A reduced
-    pivot row is nonzero only inside its own component, so a free column
-    takes entries from its component's pivots alone, and a zero column gives
-    a unit vector.
+
+def kernel_basis(m: FieldMatrix) -> np.ndarray:
+    """A deterministic basis of the right nullspace, one row per free column.
+
+    Returns an int64 array of shape ``(d, m.ncols)``, d the nullity, entries
+    residues in ``[0, p)``.  Free columns are taken in ascending order; row i
+    has a 1 at the i-th free column and back-substituted pivot entries
+    elsewhere.  A reduced pivot row is nonzero only inside its own component,
+    so a free column takes entries from its component's pivots alone, and a
+    zero column gives a unit vector.  The array is filled by one scatter from
+    the reduced rows, so no Python object is made per coordinate.
+
+    Raises ``ValueError``, before elimination, unless p - 1 < 2**63, the
+    largest residue an int64 entry holds.
     """
-    result = rref(m)
     p = m.field.p
-    pivot_set = set(result.pivots)
-    back: dict[int, list[tuple[int, int]]] = {}
-    for pivot, row in zip(result.pivots, result.matrix.nonzeros):
-        for j, v in row:
-            if j != pivot:
-                back.setdefault(j, []).append((pivot, p - v))
-    basis: list[FieldVector] = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * m.ncols
-        v[free] = 1
-        for pivot, value in back.get(free, ()):
-            v[pivot] = value
-        basis.append(tuple(v))
+    if p - 1 >= 2**63:
+        raise ValueError(f"p={p} overflows int64: kernel entries need p - 1 < 2**63")
+    result = rref(m)
+    row_of, cols, values = sparse_entries(result.matrix.nonzeros[: result.rank])
+    pivots = np.array(result.pivots, dtype=np.int64)
+    pivot_of = pivots[row_of]
+    # a reduced row is 1 at its pivot and nonzero elsewhere only at free columns
+    back = cols != pivot_of
+    is_free = np.ones(m.ncols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    # entry e goes to the basis row led by free column owner[e], at column place[e]
+    owner = np.concatenate([free, cols[back]])
+    place = np.concatenate([free, pivot_of[back]])
+    entries = np.concatenate([np.ones(len(free), dtype=np.int64), p - values[back]])
+    basis = np.zeros((len(free), m.ncols), dtype=np.int64)
+    basis[(np.cumsum(is_free) - 1)[owner], place] = entries
     return basis
 
 

@@ -23,6 +23,8 @@ family bit for bit, with no component search and no equivalence search.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -109,10 +111,16 @@ class PluckerMatrix:
         rows = tuple(tuple((j, c % p) for j, c in row) for row in self._coefficient_rows())
         return FieldMatrix(field, rows, len(self.col_labels))
 
-    def apply(self, w: list[int] | FieldVector, field: PrimeField) -> FieldVector:
-        """Sparse matrix-vector product over GF(p)."""
+    def apply(self, w: Sequence[int], field: PrimeField) -> FieldVector:
+        """Sparse matrix-vector product over GF(p), as a tuple of Python ints.
+
+        ``w`` is any sequence of integers, one per column: a list, a tuple or
+        a row of the int64 array ``kernel_basis`` returns.  Its entries are
+        read as Python ints, so the sums are exact for any p.
+        """
         if len(w) != len(self.col_labels):
             raise ValueError(f"vector length {len(w)} != {len(self.col_labels)} columns")
+        w = list(map(operator.index, w))
         p = field.p
         return tuple(sum(c * w[j] for j, c in row) % p for row in self._coefficient_rows())
 

@@ -29,12 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 import numpy as np
 
 from .combinat import IndexTuple, index_tuples
-from .gf import FieldMatrix, FieldVector, PrimeField, kernel_basis, projective_count, rref
+from .gf import (FieldMatrix, FieldVector, PrimeField, kernel_basis, projective_count, rref,
+                 sparse_entries)
 from .plucker import SymplecticForm, plucker_matrix
 
 DEFAULT_BUDGET = 1 << 25
@@ -204,11 +205,9 @@ def _echelon(a: np.ndarray, field: PrimeField) -> tuple[np.ndarray, tuple[int, .
     ends = np.cumsum(np.count_nonzero(a, axis=1)).tolist()
     sparse = tuple(tuple(pairs[start:end]) for start, end in zip([0] + ends, ends))
     echelon = rref(FieldMatrix(field, sparse, a.shape[1]))
-    reduced = echelon.matrix.nonzeros[: echelon.rank]
-    cols, values = np.fromiter(chain.from_iterable(chain.from_iterable(reduced)),
-                               dtype=np.int64).reshape(-1, 2).T
+    row_of, cols, values = sparse_entries(echelon.matrix.nonzeros[: echelon.rank])
     dense = np.zeros((echelon.rank, a.shape[1]), dtype=np.int64)
-    dense[np.repeat(np.arange(echelon.rank), [len(row) for row in reduced]), cols] = values
+    dense[row_of, cols] = values
     return dense, echelon.pivots
 
 
@@ -256,7 +255,7 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
     d = len(kernel)
     _refuse_kernel_search(d, q, budget, what)
     # d >= 1: C(2n, k) > C(2n, k - 2)
-    basis, pivots = _echelon(np.array(kernel, dtype=np.int64), field)
+    basis, pivots = _echelon(kernel, field)
     forms = _pullback_forms(quadratic_relations(n, k), basis, n, k, q)
     first, second = _monomials(d)
     reduced, form_pivots = _echelon(forms, field)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from isofractal.fractal import fractal_matrix
@@ -68,6 +69,28 @@ def naive_kernel(field, rows, ncols):
         v[free] = 1
         for i, pc in enumerate(pivots):
             v[pc] = (-reduced[i][free]) % field.p
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_kernel(m):
+    """The kernel as dense tuples, back-substituted from ``rref`` one coordinate at a time."""
+    result = rref(m)
+    p = m.field.p
+    pivot_set = set(result.pivots)
+    back = {}
+    for pivot, row in zip(result.pivots, result.matrix.nonzeros):
+        for j, v in row:
+            if j != pivot:
+                back.setdefault(j, []).append((pivot, p - v))
+    basis = []
+    for free in range(m.ncols):
+        if free in pivot_set:
+            continue
+        v = [0] * m.ncols
+        v[free] = 1
+        for pivot, value in back.get(free, ()):
+            v[pivot] = value
         basis.append(tuple(v))
     return basis
 
@@ -184,7 +207,10 @@ class TestBlockwiseElimination:
         assert dense_rows(result.matrix) == oracle_rows
         assert list(result.pivots) == oracle_pivots
         assert result.rank == len(oracle_pivots)
-        assert kernel_basis(m) == naive_kernel(f, rows, ncols)
+        basis = kernel_basis(m)
+        expected = naive_kernel(f, rows, ncols)
+        assert basis.dtype == np.int64 and basis.shape == (len(expected), ncols)
+        assert [tuple(v) for v in basis.tolist()] == expected
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_shuffled_direct_sums(self, p):
@@ -290,16 +316,16 @@ class TestKernelBasis:
     def test_identity_has_trivial_kernel(self):
         f = PrimeField(3)
         m = dense_matrix(f, [[1, 0], [0, 1]])
-        assert kernel_basis(m) == []
+        assert kernel_basis(m).shape == (0, 2)
 
     def test_zero_matrix_standard_basis(self):
         f = PrimeField(5)
         m = dense_matrix(f, [[0] * 4, [0] * 4])
-        assert kernel_basis(m) == [
-            (1, 0, 0, 0),
-            (0, 1, 0, 0),
-            (0, 0, 1, 0),
-            (0, 0, 0, 1),
+        assert kernel_basis(m).tolist() == [
+            [1, 0, 0, 0],
+            [0, 1, 0, 0],
+            [0, 0, 1, 0],
+            [0, 0, 0, 1],
         ]
 
     def test_members_annihilated_and_count(self):
@@ -313,5 +339,24 @@ class TestKernelBasis:
             for v in basis:
                 assert [sum(a * b for a, b in zip(row, v)) % p for row in dense_rows(m)] == [0] * 5
             # independence: stacking the basis loses no rank
-            if basis:
-                assert rref(dense_matrix(f, basis)).rank == len(basis)
+            if len(basis):
+                assert rref(dense_matrix(f, basis.tolist())).rank == len(basis)
+
+    @pytest.mark.parametrize("n,k,p", [(5, 4, 2), (5, 4, 3), (5, 4, 5), (6, 6, 3),
+                                       (7, 6, 3), (7, 7, 2)])
+    def test_array_equals_reference_tuples(self, n, k, p):
+        m = plucker_matrix(n, k, signed=True).field_matrix(PrimeField(p))
+        basis = kernel_basis(m)
+        assert basis.dtype == np.int64 and basis.shape[1] == m.ncols
+        assert [tuple(v) for v in basis.tolist()] == reference_kernel(m)
+
+    def test_int64_limit(self):
+        # an unchecked field: 2**63 + 1 is not prime, and no trial division runs
+        f = PrimeField(2)
+        object.__setattr__(f, "p", 2**63 + 1)
+        m = FieldMatrix(f, (((0, 2**63),),), 2)
+        with pytest.raises(ValueError, match="p - 1 < 2\\*\\*63"):
+            kernel_basis(m)
+        object.__setattr__(f, "p", 2**63 - 25)  # the largest prime below 2**63
+        basis = kernel_basis(FieldMatrix(f, (((0, 1), (1, 1)),), 2))
+        assert basis.tolist() == [[2**63 - 26, 1]]

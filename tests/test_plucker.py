@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from isofractal import cli
@@ -211,6 +212,24 @@ class TestContraction:
             for _ in range(20):
                 w = [rng.randrange(2) for _ in range(signed.support.cols)]
                 assert signed.apply(w, f) == unsigned.apply(w, f)
+
+    def test_apply_reads_array_rows_as_python_ints(self):
+        pm = plucker_matrix(5, 4, signed=True)
+        f = PrimeField(5)
+        basis = kernel_basis(pm.field_matrix(f))
+        for i in range(0, len(basis), 7):
+            out = pm.apply(basis[i], f)
+            assert out == pm.apply(basis[i].tolist(), f) == (0,) * pm.support.rows
+            assert all(type(x) is int for x in out)
+        w = np.array([random.Random(i).randrange(5) for i in range(pm.support.cols)])
+        assert pm.apply(w, f) == pm.apply(w.tolist(), f) == contraction(5, 4, w.tolist(), f)
+        # five terms of p - 1 = 2**63 - 26 would wrap in int64; an unchecked field
+        big = PrimeField(2)
+        object.__setattr__(big, "p", 2**63 - 25)
+        w = np.full(pm.support.cols, 2**63 - 26, dtype=np.int64)
+        out = pm.apply(w, big)
+        assert out == pm.apply(w.tolist(), big)
+        assert all(type(x) is int for x in out) and any(x > 2**62 for x in out)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

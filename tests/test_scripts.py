@@ -42,3 +42,13 @@ def test_point_census():
     assert lines[0].startswith("(n=2, k=2, q=2)  closed form 15; kernel search 15 of 31 classes")
     assert "; oracle 15 of 26 nodes [" in lines[0]
     assert lines[0].endswith("sets agree")
+
+
+def test_point_census_reports_a_refused_route():
+    lines = run_script("point_census.py", "--instances", "4,4,3")
+    assert len(lines) == 1
+    assert lines[0].startswith("(n=4, k=4, q=3)  closed form 91840; kernel search refused "
+                               "(kernel enumeration for (n=4, k=4, q=3) needs a budget of "
+                               "at least 2**66, configured budget is ")
+    assert "; oracle 91840 of " in lines[0]
+    assert "sets" not in lines[0]

@@ -111,10 +111,7 @@ class TestPullbackForms:
     @pytest.mark.parametrize("n,k,q", [(2, 2, 3), (3, 2, 2), (3, 3, 3)])
     def test_forms_agree_with_raw_relations(self, n, k, q):
         field = PrimeField(q)
-        basis = np.array(
-            kernel_basis(plucker_matrix(n, k, signed=True).field_matrix(field)),
-            dtype=np.int64,
-        )
+        basis = kernel_basis(plucker_matrix(n, k, signed=True).field_matrix(field))
         rels = quadratic_relations(n, k)
         forms = _pullback_forms(rels, basis, n, k, q)
         first, second = _monomials(len(basis))
@@ -171,7 +168,7 @@ class TestRationalPoints:
     def test_points_lead_with_one_at_a_basis_pivot(self, n, k, q):
         field = PrimeField(q)
         kernel = kernel_basis(plucker_matrix(n, k, signed=True).field_matrix(field))
-        _, pivots = variety._echelon(np.array(kernel), field)
+        _, pivots = variety._echelon(kernel, field)
         for point in rational_points(n, k, q).points:
             first = next(i for i, x in enumerate(point) if x)
             assert first in pivots
