@@ -28,7 +28,8 @@ def main() -> None:
             kernel_dims = {}
             for p in (2, 3):
                 m = pm.field_matrix(PrimeField(p))
-                kernel_dims[p] = m.ncols - rref(m).rank
+                pivots, _ = rref(m)
+                kernel_dims[p] = m.ncols - len(pivots)
             finished = time.perf_counter()
             census = ", ".join(
                 f"{count} x A({a},{b})"

@@ -17,14 +17,12 @@ from .combinat import (
     Cell,
     IndexTuple,
     index_tuples,
-    insert_pair_with_sign,
     pair_free_part,
     rank,
     row_partition,
 )
 from .fractal import FractalParams, fractal_matrix, fractal_matrix_blockwise, verify_fractal
 from .gf import (
-    EchelonResult,
     FieldMatrix,
     PrimeField,
     kernel_basis,

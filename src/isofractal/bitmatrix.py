@@ -110,17 +110,8 @@ class BinaryMatrix:
         """Neighbours of each vertex: rows ``0..rows-1``, then columns shifted by ``rows``."""
         return tuple(tuple(self.rows + c for c in a) for a in self.row_adj) + self._col_adj
 
-    def row_support(self, r: int) -> Row:
-        return self.row_adj[r]
-
     def col_support(self, c: int) -> Row:
         return self._col_adj[c]
-
-    def row_weight(self, r: int) -> int:
-        return len(self.row_adj[r])
-
-    def col_weight(self, c: int) -> int:
-        return len(self._col_adj[c])
 
     def row_weights(self) -> list[int]:
         return [len(a) for a in self.row_adj]
@@ -282,10 +273,10 @@ def bipartite_components(
     smallest row index.  Rows and columns without any ones are reported
     separately and belong to no component.
     """
-    zero_rows = tuple(r for r in range(m.rows) if not m.row_support(r))
+    zero_rows = tuple(r for r, row in enumerate(m.row_adj) if not row)
     zero_cols = tuple(c for c in range(m.cols) if not m.col_support(c))
     components = [
-        (tuple(rows), tuple(sorted({c for r in rows for c in m.row_support(r)})))
+        (tuple(rows), tuple(sorted({c for r in rows for c in m.row_adj[r]})))
         for rows in row_components(m.row_adj, m.cols)
     ]
     return components, zero_rows, zero_cols

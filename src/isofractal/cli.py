@@ -176,17 +176,13 @@ def _suite_plucker(seed: int) -> list[dict]:
     checks = []
     for n, k in [(2, 2), (3, 2), (3, 3), (4, 3), (5, 4)]:
         ok = True
-        pm_signed = plucker_matrix(n, k, signed=True)
-        pm_plain = plucker_matrix(n, k, signed=False)
-        ncols = pm_signed.support.cols
+        pm = plucker_matrix(n, k, signed=True)
+        ncols = pm.support.cols
         for q in (2, 3, 5):
             field = PrimeField(q)
             for _ in range(50):
                 w = [rng.randrange(q) for _ in range(ncols)]
-                direct = contraction(n, k, w, field)
-                ok = ok and direct == pm_signed.apply(w, field)
-                if q == 2:
-                    ok = ok and direct == pm_plain.apply(w, field)
+                ok = ok and contraction(n, k, w, field) == pm.apply(w, field)
         checks.append({
             "name": f"contraction-consistency-n{n}-k{k}",
             "passed": ok,
@@ -312,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except (ArithmeticError, AssertionError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 1
 

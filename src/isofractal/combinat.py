@@ -65,27 +65,15 @@ def partner(e: int, n: int) -> int:
     return 2 * n + 1 - e
 
 
-def insert_pair_with_sign(
-    base: IndexTuple, i: int, n: int
-) -> tuple[IndexTuple, int] | None:
-    """Insert the pair (i, 2n+1-i) into ``base`` and report the reordering sign.
-
-    Returns ``None`` when either pair member already occurs in ``base``
-    (the corresponding wedge coordinate vanishes).  Otherwise returns the
-    sorted union tuple together with (-1)**(a+b), where a and b count the
-    entries of ``base`` below each inserted member: the sign with which the
-    sorted coordinate appears when the pair is contracted out of the wedge.
-    """
-    validate_index_tuple(base, 2 * n)
-    if not 1 <= i <= n:
-        raise ValueError(f"pair index {i} outside [1, {n}]")
-    return _insert_pair(base, i, partner(i, n))
-
-
 def _insert_pair(base: IndexTuple, lo: int, hi: int) -> tuple[IndexTuple, int] | None:
-    """:func:`insert_pair_with_sign` without the argument checks.
+    """Insert the pair ``lo < hi`` into ``base`` and report the reordering sign.
 
-    ``base`` must be strictly increasing and ``lo < hi`` the pair's members.
+    Returns ``None`` when either pair member already occurs in ``base`` (the
+    corresponding wedge coordinate vanishes).  Otherwise returns the sorted
+    union tuple together with (-1)**(a+b), where a and b count the entries of
+    ``base`` below each inserted member: the sign with which the sorted
+    coordinate appears when the pair is contracted out of the wedge.  ``base``
+    must be strictly increasing; nothing is checked.
     """
     if lo in base or hi in base:
         return None

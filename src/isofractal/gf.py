@@ -1,8 +1,8 @@
 """Exact linear algebra over prime fields.
 
 Reduced row echelon form with deterministic pivoting (first nonzero entry,
-columns scanned left to right), rank, nullspace bases, and the number of
-projective classes of a space.
+columns scanned left to right), returned as its pivot columns and nonzero
+rows, nullspace bases, and the number of projective classes of a space.
 
 Matrices are stored row-sparse: each row is its nonzero ``(column, residue)``
 pairs in ascending column order, so the contraction system, whose rows hold
@@ -21,8 +21,8 @@ the column.  The result equals whole-matrix elimination.  Columns of
 different components have disjoint row supports, so a column is independent
 of the earlier columns exactly when it is independent of the earlier columns
 of its own component: the pivots agree.  The reduced row echelon form is
-unique, so the components' reduced rows, ordered by pivot column and followed
-by the zero rows, are the reduced form of the whole matrix.  For the
+unique, so the components' reduced rows, ordered by pivot column, are the
+nonzero rows of the reduced form of the whole matrix.  For the
 contraction system the components are the family members of its direct-sum
 decomposition, and the kernel is the direct sum of their kernels plus unit
 vectors at the zero columns.
@@ -96,19 +96,14 @@ class FieldMatrix:
         return f"FieldMatrix(GF({self.field.p}), {self.nrows}x{self.ncols})"
 
 
-@dataclass(frozen=True)
-class EchelonResult:
-    matrix: FieldMatrix
-    rank: int
-    pivots: tuple[int, ...]
+def rref(m: FieldMatrix) -> tuple[tuple[int, ...], tuple[SparseRow, ...]]:
+    """The pivot columns and the nonzero rows of the reduced row echelon form.
 
-
-def rref(m: FieldMatrix) -> EchelonResult:
-    """Reduced row echelon form, rank, and pivot columns.
-
-    Each connected component of the row/column graph is eliminated on its own
-    sparse rows; see the module docstring for why the assembled result equals
-    whole-matrix elimination.
+    Returns ``(pivots, rows)``: the pivot columns ascending, and the reduced
+    nonzero rows as ``(column, residue)`` pairs, row i being 1 at
+    ``pivots[i]``.  The rank is ``len(pivots)``.  Each connected component of
+    the row/column graph is eliminated on its own sparse rows; see the module
+    docstring for why the assembled result equals whole-matrix elimination.
     """
     p = m.field.p
     reduced: list[tuple[int, dict[int, int]]] = []
@@ -135,11 +130,8 @@ def rref(m: FieldMatrix) -> EchelonResult:
             done.append(pivot)
             reduced.append((c, pivot))
     reduced.sort(key=lambda pivot_row: pivot_row[0])
-    pivots = tuple(c for c, _ in reduced)
-    # sorted one at a time as they are consumed, so only one copy is held
-    rows = chain((tuple(sorted(row.items())) for _, row in reduced),
-                 [()] * (m.nrows - len(reduced)))
-    return EchelonResult(FieldMatrix(m.field, tuple(rows), m.ncols), len(pivots), pivots)
+    return (tuple(c for c, _ in reduced),
+            tuple(tuple(sorted(row.items())) for _, row in reduced))
 
 
 def sparse_entries(rows: tuple[SparseRow, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,9 +158,9 @@ def kernel_basis(m: FieldMatrix) -> np.ndarray:
     p = m.field.p
     if p - 1 >= 2**63:
         raise ValueError(f"p={p} overflows int64: kernel entries need p - 1 < 2**63")
-    result = rref(m)
-    row_of, cols, values = sparse_entries(result.matrix.nonzeros[: result.rank])
-    pivots = np.array(result.pivots, dtype=np.int64)
+    pivots, rows = rref(m)
+    row_of, cols, values = sparse_entries(rows)
+    pivots = np.array(pivots, dtype=np.int64)
     pivot_of = pivots[row_of]
     # a reduced row is 1 at its pivot and nonzero elsewhere only at free columns
     back = cols != pivot_of

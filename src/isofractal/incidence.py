@@ -73,7 +73,7 @@ def verify_configuration(n: int, k: int) -> dict:
         raise ValueError(f"configuration checks need even k, got {k}")
     m = incidence_matrix(n, k)
     row_labels = index_tuples((k - 2) // 2, n)
-    supports = [set(m.row_support(i)) for i in range(m.rows)]
+    supports = [set(row) for row in m.row_adj]
 
     expected_row_weight = n - (k - 2) // 2
     row_weight_ok = all(len(s) == expected_row_weight for s in supports)

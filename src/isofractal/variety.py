@@ -204,11 +204,11 @@ def _echelon(a: np.ndarray, field: PrimeField) -> tuple[np.ndarray, tuple[int, .
     pairs = list(zip(cols.tolist(), a[rows, cols].tolist()))
     ends = np.cumsum(np.count_nonzero(a, axis=1)).tolist()
     sparse = tuple(tuple(pairs[start:end]) for start, end in zip([0] + ends, ends))
-    echelon = rref(FieldMatrix(field, sparse, a.shape[1]))
-    row_of, cols, values = sparse_entries(echelon.matrix.nonzeros[: echelon.rank])
-    dense = np.zeros((echelon.rank, a.shape[1]), dtype=np.int64)
+    pivots, reduced = rref(FieldMatrix(field, sparse, a.shape[1]))
+    row_of, cols, values = sparse_entries(reduced)
+    dense = np.zeros((len(pivots), a.shape[1]), dtype=np.int64)
     dense[row_of, cols] = values
-    return dense, echelon.pivots
+    return dense, pivots
 
 
 def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> PointSet:

@@ -130,12 +130,12 @@ def random_matrix(rng, max_rows=8, max_cols=8):
 
 def bfs_components(m):
     """Breadth-first search over rows and columns, kept free of the library's union-find."""
-    zero_rows = tuple(r for r in range(m.rows) if not m.row_support(r))
+    zero_rows = tuple(r for r, row in enumerate(m.row_adj) if not row)
     zero_cols = tuple(c for c in range(m.cols) if not m.col_support(c))
     seen_rows = set()
     components = []
     for start in range(m.rows):
-        if start in seen_rows or not m.row_support(start):
+        if start in seen_rows or not m.row_adj[start]:
             continue
         comp_rows = {start}
         comp_cols = set()
@@ -143,7 +143,7 @@ def bfs_components(m):
         while queue:
             kind, idx = queue.popleft()
             if kind == "r":
-                for c in m.row_support(idx):
+                for c in m.row_adj[idx]:
                     if c not in comp_cols:
                         comp_cols.add(c)
                         queue.append(("c", c))

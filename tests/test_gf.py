@@ -58,6 +58,15 @@ def naive_rref(field, rows, ncols):
     return a, pivots
 
 
+def assert_rref_is_naive(m, rows):
+    """``rref(m)`` is ``naive_rref``'s pivots and nonzero rows; ``rows`` are m's dense rows."""
+    pivots, reduced = rref(m)
+    oracle_rows, oracle_pivots = naive_rref(m.field, rows, m.ncols)
+    assert list(pivots) == oracle_pivots
+    # the oracle's rows past the rank are zero; wrapping the rows checks each one
+    assert dense_rows(FieldMatrix(m.field, reduced, m.ncols)) == oracle_rows[:len(pivots)]
+
+
 def naive_kernel(field, rows, ncols):
     """Kernel back-substituted from ``naive_rref``, one vector per free column."""
     reduced, pivots = naive_rref(field, rows, ncols)
@@ -75,11 +84,11 @@ def naive_kernel(field, rows, ncols):
 
 def reference_kernel(m):
     """The kernel as dense tuples, back-substituted from ``rref`` one coordinate at a time."""
-    result = rref(m)
+    pivots, rows = rref(m)
     p = m.field.p
-    pivot_set = set(result.pivots)
+    pivot_set = set(pivots)
     back = {}
-    for pivot, row in zip(result.pivots, result.matrix.nonzeros):
+    for pivot, row in zip(pivots, rows, strict=True):
         for j, v in row:
             if j != pivot:
                 back.setdefault(j, []).append((pivot, p - v))
@@ -160,29 +169,26 @@ class TestRref:
     def test_identity_fixed_point(self):
         f = PrimeField(2)
         m = dense_matrix(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        result = rref(m)
-        assert result.matrix == m
-        assert result.rank == 3
-        assert result.pivots == (0, 1, 2)
+        assert rref(m) == ((0, 1, 2), m.nonzeros)
 
     def test_zero_matrix(self):
         f = PrimeField(3)
         m = dense_matrix(f, [[0, 0], [0, 0]])
-        result = rref(m)
-        assert result.matrix == m and result.rank == 0
+        assert rref(m) == ((), ())
 
     def test_plucker_three_three_rank(self):
         f = PrimeField(2)
         m = plucker_matrix(3, 3).field_matrix(f)
-        assert rref(m).rank == 6
+        pivots, _ = rref(m)
+        assert len(pivots) == 6
 
     def test_idempotent(self):
         rng = random.Random(1)
         for p in (2, 3, 5):
             f = PrimeField(p)
             rows = [[rng.randrange(p) for _ in range(9)] for _ in range(6)]
-            first = rref(dense_matrix(f, rows)).matrix
-            assert rref(first).matrix == first
+            pivots, reduced = rref(dense_matrix(f, rows))
+            assert rref(FieldMatrix(f, reduced, 9)) == (pivots, reduced)
 
     def test_against_naive_oracle(self):
         rng = random.Random(42)
@@ -190,11 +196,17 @@ class TestRref:
             f = PrimeField(p)
             for _ in range(10):
                 rows = [[rng.randrange(p) for _ in range(14)] for _ in range(10)]
-                result = rref(dense_matrix(f, rows))
-                oracle_rows, oracle_pivots = naive_rref(f, rows, 14)
                 # reduced echelon form is unique, so they must agree entrywise
-                assert dense_rows(result.matrix) == oracle_rows
-                assert list(result.pivots) == oracle_pivots
+                assert_rref_is_naive(dense_matrix(f, rows), rows)
+
+    @pytest.mark.parametrize("n,k,p", [(5, 4, 3), (6, 6, 3)])
+    def test_signed_system_against_naive_oracle(self, n, k, p):
+        pm = plucker_matrix(n, k, signed=True)
+        dense = [[0] * pm.support.cols for _ in range(pm.support.rows)]
+        for i, row in enumerate(pm.signed_rows):
+            for j, sign in row:
+                dense[i][j] = sign
+        assert_rref_is_naive(pm.field_matrix(PrimeField(p)), dense)
 
 
 class TestBlockwiseElimination:
@@ -202,11 +214,7 @@ class TestBlockwiseElimination:
 
     def check(self, f, rows, ncols):
         m = dense_matrix(f, rows, ncols)
-        result = rref(m)
-        oracle_rows, oracle_pivots = naive_rref(f, rows, ncols)
-        assert dense_rows(result.matrix) == oracle_rows
-        assert list(result.pivots) == oracle_pivots
-        assert result.rank == len(oracle_pivots)
+        assert_rref_is_naive(m, rows)
         basis = kernel_basis(m)
         expected = naive_kernel(f, rows, ncols)
         assert basis.dtype == np.int64 and basis.shape == (len(expected), ncols)
@@ -230,8 +238,7 @@ class TestBlockwiseElimination:
     def test_no_rows(self, p):
         f = PrimeField(p)
         self.check(f, [], 4)
-        result = rref(dense_matrix(f, [], 4))
-        assert result.matrix.nrows == 0 and result.matrix.ncols == 4
+        assert rref(dense_matrix(f, [], 4)) == ((), ())
 
     @pytest.mark.parametrize("p", [2, 5])
     def test_all_zero(self, p):
@@ -279,7 +286,8 @@ class TestKernelDimensions:
     def test_eight_eight_gf2_matches_census(self):
         pm = plucker_matrix(8, 8, signed=True)
         m = pm.field_matrix(PrimeField(2))
-        assert m.ncols - rref(m).rank == 6563
+        pivots, _ = rref(m)
+        assert m.ncols - len(pivots) == 6563
         # 256 pair-free zero columns plus each census block's own kernel
         census = {(2, 1): 1792, (3, 2): 1120, (4, 3): 112, (5, 4): 1}
         f2 = PrimeField(2)
@@ -287,7 +295,8 @@ class TestKernelDimensions:
         for (a, b), count in census.items():
             block = fractal_matrix(a, b)
             ones = tuple(tuple((c, 1) for c in row) for row in block.row_adj)
-            dims += count * (block.cols - rref(FieldMatrix(f2, ones, block.cols)).rank)
+            pivots, _ = rref(FieldMatrix(f2, ones, block.cols))
+            dims += count * (block.cols - len(pivots))
         assert dims == 6563
 
     def test_eight_eight_gf3_per_component(self):
@@ -301,7 +310,8 @@ class TestKernelDimensions:
                 for c, j in enumerate(cols):
                     block[r][c] = pm.signs.get((i, j), 0) % 3
             rank += len(naive_rref(f, block, len(cols))[1])
-        assert rref(m).rank == rank
+        pivots, _ = rref(m)
+        assert len(pivots) == rank
         assert m.ncols - rank == 4981
 
 
@@ -335,12 +345,14 @@ class TestKernelBasis:
             rows = [[rng.randrange(p) for _ in range(8)] for _ in range(5)]
             m = dense_matrix(f, rows)
             basis = kernel_basis(m)
-            assert len(basis) == 8 - rref(m).rank
+            pivots, _ = rref(m)
+            assert len(basis) == 8 - len(pivots)
             for v in basis:
                 assert [sum(a * b for a, b in zip(row, v)) % p for row in dense_rows(m)] == [0] * 5
             # independence: stacking the basis loses no rank
             if len(basis):
-                assert rref(dense_matrix(f, basis.tolist())).rank == len(basis)
+                pivots, _ = rref(dense_matrix(f, basis.tolist()))
+                assert len(pivots) == len(basis)
 
     @pytest.mark.parametrize("n,k,p", [(5, 4, 2), (5, 4, 3), (5, 4, 5), (6, 6, 3),
                                        (7, 6, 3), (7, 7, 2)])

@@ -47,7 +47,7 @@ class TestIncidenceMatrix:
     def test_configuration_member_counts(self):
         m = incidence_matrix(5, 4)
         assert all(w == 5 - (4 - 2) // 2 for w in m.row_weights())
-        member_sets = {m.row_support(i) for i in range(m.rows)}
+        member_sets = set(m.row_adj)
         assert len(member_sets) == m.rows == 5
 
     def test_domain_errors(self):
@@ -116,7 +116,7 @@ class TestIncidenceRow:
     """The row of label p in the square matrix is row rank(p), the supersets of p."""
 
     def row(self, m, p):
-        return incidence_matrix(m, m).row_support(rank(p, m))
+        return incidence_matrix(m, m).row_adj[rank(p, m)]
 
     def test_known_supersets(self):
         cols = index_tuples(4, 8)
