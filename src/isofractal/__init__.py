@@ -18,7 +18,6 @@ from .combinat import (
     IndexTuple,
     index_tuples,
     pair_free_part,
-    rank,
     row_partition,
 )
 from .fractal import FractalParams, fractal_matrix, fractal_matrix_blockwise, verify_fractal
@@ -31,7 +30,6 @@ from .gf import (
 )
 from .incidence import (
     incidence_matrix,
-    triangle_row_order,
     verify_configuration,
     verify_incidence_fractal_match,
 )

@@ -4,35 +4,22 @@ An index tuple is a plain ``tuple[int, ...]`` of strictly increasing 1-based
 entries bounded by some ``m``; the empty tuple is a first-class value.  Since
 the entries are sorted, two tuples are equal exactly when their supports are
 equal.  These tuples index matrix rows, matrix columns, and wedge coordinates
-throughout the package, always in lexicographic order so that ranks are stable
-across runs.
+throughout the package, always in lexicographic order so that positions are
+stable across runs.
 
-On top of the raw tuples this module provides the lexicographic rank of a
-tuple, the pairing of a symplectic basis (``partner``: the n index pairs
-(i, 2n+1-i) partition [2n]), insertion of a whole pair into a tuple together
-with the wedge reordering sign, and the partition of tuples by the pair-free
-part of their support.
+On top of the raw tuples this module provides the pairing of a symplectic
+basis (``partner``: the n index pairs (i, 2n+1-i) partition [2n]), insertion
+of a whole pair into a tuple together with the wedge reordering sign, and the
+partition of tuples by the pair-free part of their support.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
 IndexTuple = tuple[int, ...]
-
-
-def validate_index_tuple(t: IndexTuple, m: int) -> None:
-    """Raise ``ValueError`` unless ``t`` is strictly increasing within [1, m]."""
-    if m < 0:
-        raise ValueError(f"bound must be nonnegative, got {m}")
-    for i, e in enumerate(t):
-        if not 1 <= e <= m:
-            raise ValueError(f"entry {e} outside [1, {m}] in {t}")
-        if i and t[i - 1] >= e:
-            raise ValueError(f"entries not strictly increasing in {t}")
 
 
 def index_tuples(s: int, m: int) -> list[IndexTuple]:
@@ -43,19 +30,6 @@ def index_tuples(s: int, m: int) -> list[IndexTuple]:
     if s < 0 or s > m:
         raise ValueError(f"need 0 <= s <= m, got s={s}, m={m}")
     return list(combinations(range(1, m + 1), s))
-
-
-def rank(t: IndexTuple, m: int) -> int:
-    """Lexicographic position of ``t`` among the tuples of its length over [1, m]."""
-    validate_index_tuple(t, m)
-    s = len(t)
-    r = 0
-    prev = 0
-    for i, e in enumerate(t):
-        for v in range(prev + 1, e):
-            r += math.comb(m - v, s - i - 1)
-        prev = e
-    return r
 
 
 def partner(e: int, n: int) -> int:

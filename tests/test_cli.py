@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -7,9 +8,11 @@ from jsonschema import validate
 
 from isofractal import fractal, plucker, variety
 from isofractal.bitmatrix import BinaryMatrix
-from isofractal.cli import main
+from isofractal.cli import build_parser, main
+from isofractal.variety import DEFAULT_BUDGET
 
-SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMAS = ROOT / "schemas"
 
 
 def load_schema(name):
@@ -135,10 +138,20 @@ def test_failed_decompose_check_exits_one(argv, tmp_path, monkeypatch, capsys):
         return BinaryMatrix.zero(member.rows, member.cols)
 
     monkeypatch.setattr(plucker, "fractal_matrix", zero_member)
-    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 1
-    err = capsys.readouterr().err
-    assert "error: internal check failed: the block at cell ()" in err
-    assert not (tmp_path / "out.json").exists()
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 1
+    if argv[0] == "decompose":
+        err = capsys.readouterr().err
+        assert "error: internal check failed: the block at cell ()" in err
+        assert not out.exists()
+        return
+    # inside verify each failed check is a report entry; the report is still written
+    payload = json.loads(out.read_text())
+    validate(payload, load_schema("verify-report.schema.json"))
+    assert payload["passed"] is False
+    decomposed = [c for c in payload["checks"] if c["name"].startswith("decompose-")]
+    assert [c["passed"] for c in decomposed] == [False] * 4
+    assert all(c["details"]["error"].startswith("the block at cell (") for c in decomposed)
 
 
 class TestPointsCommand:
@@ -216,19 +229,15 @@ class TestPointsCommand:
         assert code == 2
         assert "(q-1)**3 < 2**63" in capsys.readouterr().err
 
-    def test_env_budget_override(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ISOFRACTAL_BUDGET", "100")
-        code = main(["points", "--n", "3", "--k", "3", "--q", "2",
-                     "--out", str(tmp_path / "p1.txt"),
-                     "--summary-out", str(tmp_path / "s1.json")])
-        assert code == 1
-        assert "refused" in capsys.readouterr().err
-        # explicit flag wins over the environment
+    def test_budget_flag(self, tmp_path):
         code = main(["points", "--n", "3", "--k", "3", "--q", "2",
                      "--budget", "1000000",
-                     "--out", str(tmp_path / "p2.txt"),
-                     "--summary-out", str(tmp_path / "s2.json")])
+                     "--out", str(tmp_path / "p.txt"),
+                     "--summary-out", str(tmp_path / "s.json")])
         assert code == 0
+        for command in (["points", "--n", "2", "--k", "2", "--q", "2"],
+                        ["verify", "--suite", "points"]):
+            assert build_parser().parse_args(command).budget == DEFAULT_BUDGET
 
     def test_failed_oracle_check_exits_one(self, tmp_path, monkeypatch, capsys):
         minors = variety._wedge_minors
@@ -279,6 +288,21 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         validate(payload, load_schema("verify-report.schema.json"))
         assert all(c["passed"] for c in payload["checks"])
+
+
+def readme_commands():
+    """Every ``isofractal`` line of README's "Command line" block, as argv lists."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in lines if argv and argv[0] == "isofractal"]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands_run(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    build_parser().parse_args(argv)
+    assert main(argv) == 0
 
 
 # sha256 of each command's output file, recorded before the row-sparse rewrite;

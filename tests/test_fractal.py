@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from isofractal import fractal
 from isofractal.bitmatrix import BinaryMatrix, deserialize
 from isofractal.fractal import (
     FractalParams,
@@ -109,6 +110,24 @@ class TestStructuralLaws:
         largest = [c for c in report["checks"] if c["k"] == 6 and c["ell"] == 6][0]
         assert largest["passed"]
         assert fractal_matrix(6, 6).rows == 462
+
+    def test_reversed_identity_fails(self, monkeypatch):
+        # the paste route with an anti-diagonal under each part: route agreement
+        # alone must catch it, as the recursion [A(k, ell-1), 0; I, A(k-1, ell)]
+        # holds for the paste route exactly where the routes agree
+        def stack_reversed_identity(m):
+            flipped = tuple((j,) for j in reversed(range(m.cols)))
+            return BinaryMatrix(m.rows + m.cols, m.cols, m.row_adj + flipped)
+
+        routes = (fractal_matrix, fractal_matrix_blockwise)
+        monkeypatch.setattr(fractal, "stack_identity_below", stack_reversed_identity)
+        for route in routes:
+            route.cache_clear()
+        try:
+            assert not verify_fractal(4, 4)["passed"]
+        finally:
+            for route in routes:
+                route.cache_clear()
 
     def test_verify_trivial_case(self):
         report = verify_fractal(1, 1)

@@ -12,8 +12,8 @@ PUBLIC_NAMES = [
     "direct_sum", "expected_count", "fractal_matrix", "fractal_matrix_blockwise",
     "incidence_matrix", "index_tuples", "kernel_basis", "oracle_points", "pair_free_part",
     "paste_right", "permutation_equivalent", "plucker_matrix", "projective_count",
-    "quadratic_relations", "rank", "rational_points", "row_partition", "rref", "serialize",
-    "stack_identity_below", "triangle_row_order", "verify_configuration", "verify_fractal",
+    "quadratic_relations", "rational_points", "row_partition", "rref", "serialize",
+    "stack_identity_below", "verify_configuration", "verify_fractal",
     "verify_incidence_fractal_match",
 ]
 

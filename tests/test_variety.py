@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from isofractal import variety
-from isofractal.combinat import index_tuples, rank
+from isofractal.combinat import index_tuples
 from isofractal.gf import PrimeField, kernel_basis
 from isofractal.plucker import plucker_matrix
 from isofractal.variety import (
@@ -25,6 +25,7 @@ from isofractal.variety import (
     quadratic_relations,
     rational_points,
 )
+from test_combinat import rank
 
 
 class TestQuadraticRelations:
@@ -56,8 +57,8 @@ REFERENCE_INSTANCES = [(2, 2, 2), (2, 2, 3), (2, 2, 5), (3, 2, 2), (3, 3, 2),
 def evaluate_relation(rel, w, n, k, field):
     """Value of the exchange relation on a coordinate vector over GF(p).
 
-    Written out from the definition, each coordinate ranked with
-    ``combinat.rank``: sum over the entries b of beta, at position pos, of
+    Written out from the definition, each coordinate ranked with the
+    closed-form ``rank`` of ``test_combinat``: sum over the entries b of beta, at position pos, of
     (-1)**pos * X[alpha + b] * X[beta - b], where X on an unsorted tuple is the
     sorted coordinate times the sorting sign and X on a repeated entry is 0.
     """
