@@ -13,7 +13,7 @@ from isofractal import (
 )
 
 
-def run_route(route, n: int, k: int, q: int, budget: int, unit: str):
+def run_route(route, n: int, k: int, q: int, budget: int):
     """One route's point set, or None if it refused, and its report."""
     started = time.perf_counter()
     try:
@@ -21,7 +21,7 @@ def run_route(route, n: int, k: int, q: int, budget: int, unit: str):
     except BudgetExceededError as refusal:
         found, text = None, f"refused ({refusal})"
     else:
-        text = f"{found.count} of {found.examined} {unit}"
+        text = f"{found.count} of {found.examined} nodes"
     return found, f"{text} [{time.perf_counter() - started:.2f}s]"
 
 
@@ -40,10 +40,10 @@ def main() -> None:
     for triple in args.instances.split():
         n, k, q = (int(x) for x in triple.split(","))
         expected = expected_count(n, k, q)
-        found, text = run_route(rational_points, n, k, q, args.budget, "classes")
+        found, text = run_route(rational_points, n, k, q, args.budget)
         line = f"(n={n}, k={k}, q={q})  closed form {expected}; kernel search {text}"
         if not args.skip_oracle:
-            oracle, text = run_route(oracle_points, n, k, q, args.budget, "nodes")
+            oracle, text = run_route(oracle_points, n, k, q, args.budget)
             line += f"; oracle {text}"
             if found is not None and oracle is not None:
                 line += f" sets {'agree' if oracle.points == found.points else 'DIFFER'}"

@@ -25,7 +25,6 @@ from .gf import (
     FieldMatrix,
     PrimeField,
     kernel_basis,
-    projective_count,
     rref,
 )
 from .incidence import (

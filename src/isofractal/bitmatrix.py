@@ -86,10 +86,6 @@ class BinaryMatrix:
         return cls(rows, cols, tuple(tuple(sorted(set(a))) for a in adj))
 
     @classmethod
-    def identity(cls, n: int) -> BinaryMatrix:
-        return cls(n, n, tuple((i,) for i in range(n)))
-
-    @classmethod
     def all_ones(cls, rows: int, cols: int) -> BinaryMatrix:
         return cls(rows, cols, (tuple(range(cols)),) * rows)
 

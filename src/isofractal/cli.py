@@ -11,8 +11,8 @@ verify     run an invariant suite and report pass/fail as JSON
 
 All file outputs are written atomically (temp file plus rename).  Matrix and
 report artifacts are byte-for-byte deterministic; only the points summary
-carries an elapsed-time field.  ``--budget`` on ``points`` and ``verify``
-bounds the enumeration work (default ``DEFAULT_BUDGET``).  A failed internal
+carries an elapsed-time field.  ``--budget`` on ``points`` bounds the
+enumeration work (default ``DEFAULT_BUDGET``).  A failed internal
 check inside ``verify`` is a failed report entry; elsewhere it ends the
 command with exit 1.
 """
@@ -197,11 +197,11 @@ def _suite_plucker(seed: int) -> list[dict]:
     return checks
 
 
-def _suite_points(budget: int) -> list[dict]:
+def _suite_points() -> list[dict]:
     checks = []
     for n, k, q in [(2, 2, 2), (2, 2, 3), (2, 2, 5), (3, 2, 2), (3, 3, 2)]:
-        found = rational_points(n, k, q, budget=budget)
-        oracle = oracle_points(n, k, q, budget=budget)
+        found = rational_points(n, k, q)
+        oracle = oracle_points(n, k, q)
         expected = expected_count(n, k, q)
         passed = found.count == expected and found.points == oracle.points
         checks.append({
@@ -217,7 +217,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "fractal": lambda: _suite_fractal(),
         "incidence": lambda: _suite_incidence(),
         "plucker": lambda: _suite_plucker(args.seed),
-        "points": lambda: _suite_points(args.budget),
+        "points": lambda: _suite_points(),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     checks = []
@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=None, help="report JSON path (default stdout)")
     verify.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized consistency checks")
-    verify.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     verify.set_defaults(func=_cmd_verify)
 
     return parser

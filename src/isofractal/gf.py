@@ -2,7 +2,7 @@
 
 Reduced row echelon form with deterministic pivoting (first nonzero entry,
 columns scanned left to right), returned as its pivot columns and nonzero
-rows, nullspace bases, and the number of projective classes of a space.
+rows, and nullspace bases.
 
 Matrices are stored row-sparse: each row is its nonzero ``(column, residue)``
 pairs in ascending column order, so the contraction system, whose rows hold
@@ -175,9 +175,3 @@ def kernel_basis(m: FieldMatrix) -> np.ndarray:
     basis[(np.cumsum(is_free) - 1)[owner], place] = entries
     return basis
 
-
-def projective_count(d: int, p: int) -> int:
-    """Number of projective classes in a d-dimensional space over GF(p)."""
-    if d < 0:
-        raise ValueError(f"need d >= 0, got {d}")
-    return 0 if d == 0 else (p**d - 1) // (p - 1)

@@ -6,8 +6,7 @@ Two independent routes produce the same point set:
   echelon form in coordinate order, pull every quadratic exchange relation
   back to a form in its coefficients, and search them level by level, each
   form evaluated once per partial assignment as g + v*h + u*v**2 in the next
-  coefficient v and only the survivors kept.  The points come out normalized
-  and distinct; both are checked (``ArithmeticError``),
+  coefficient v and only the survivors kept,
 * ``oracle_points``: for each pivot set, build the reduced echelon bases of
   the isotropic k-dimensional subspaces level by level, the same shape as the
   kernel search: a numpy frontier of partial bases grows by one echelon row
@@ -18,6 +17,9 @@ Two independent routes produce the same point set:
   its budget bounds the search nodes (accepted echelon rows), checked once
   per level before the level is built.
 
+Both hand their points a cell at a time to one collector, which checks that
+they are normalized and distinct, and both count the rows their search builds.
+
 ``expected_count`` evaluates the closed-form cardinality, which both routes
 must reproduce.  It also sizes the point set up front: both routes refuse an
 instance whose points would hold more than ``MAX_HELD_COORDINATES``
@@ -27,6 +29,7 @@ coordinates.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -34,8 +37,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .combinat import IndexTuple, index_tuples
-from .gf import (FieldMatrix, FieldVector, PrimeField, kernel_basis, projective_count, rref,
-                 sparse_entries)
+from .gf import FieldMatrix, FieldVector, PrimeField, kernel_basis, rref, sparse_entries
 from .plucker import SymplecticForm, plucker_matrix
 
 DEFAULT_BUDGET = 1 << 25
@@ -75,8 +77,6 @@ def quadratic_relations(n: int, k: int) -> list[QuadraticRelation]:
     """All relation index pairs in lexicographic order."""
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if k + 1 > 2 * n:
-        raise ValueError(f"need k + 1 <= 2n, got k={k}, n={n}")
     return [
         QuadraticRelation(alpha, beta)
         for alpha in index_tuples(k - 1, 2 * n)
@@ -110,8 +110,8 @@ def _relation_terms(
 class PointSet:
     """Normalized projective points found, plus the work done to find them.
 
-    ``examined`` counts projective kernel classes for ``rational_points`` and
-    search nodes (accepted echelon rows) for ``oracle_points``.
+    ``examined`` counts the rows the search built: coefficient rows for
+    ``rational_points``, echelon rows (search nodes) for ``oracle_points``.
     """
 
     n: int
@@ -198,6 +198,26 @@ def _refuse_held_points(n: int, k: int, q: int) -> None:
             limit="the held-coordinate limit MAX_HELD_COORDINATES")
 
 
+def _collect(cells: Iterator[tuple[int, np.ndarray]], what: str) -> frozenset[FieldVector]:
+    """The points of every cell as tuples, once each is 0 before its cell's column and 1 at it.
+
+    A cell is a lead of the kernel route, or a slice of a pivot set of the
+    oracle.  The points must also be distinct; either check failing raises
+    ``ArithmeticError``.
+    """
+    points: set[FieldVector] = set()
+    found = 0
+    for column, rows in cells:
+        if rows[:, :column].any() or (rows[:, column] != 1).any():
+            raise ArithmeticError(f"{what} gave a point whose first nonzero is not 1 "
+                                  f"at coordinate {column}")
+        found += len(rows)
+        points.update(map(tuple, rows.tolist()))
+    if len(points) != found:
+        raise ArithmeticError(f"{found} {what} gave {len(points)} points")
+    return frozenset(points)
+
+
 def _echelon(a: np.ndarray, field: PrimeField) -> tuple[np.ndarray, tuple[int, ...]]:
     """The nonzero rows of the reduced echelon form of a 2-d array, dense, and their pivots."""
     rows, cols = np.nonzero(a)
@@ -222,11 +242,12 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
     row extended by v, a form keyed to the level is g + v*h + u*v**2: g the
     form on the row, h its part linear in v, u its diagonal constant.  Each
     form is evaluated once per row, and only the (row, v) pairs on which every
-    form vanishes are kept.  ``examined`` counts the projective classes decided.
+    form vanishes are kept.  ``examined`` counts the rows built: before each
+    level, the frontier rows times the values of the level's coefficient.
 
     A combination led by coefficient i is 1 at pivot i and zero before it, so
-    the points come out normalized and distinct; both facts are checked, and
-    either failing raises ``ArithmeticError``.
+    the points come out normalized and distinct; the collector checks both
+    facts per lead, and either failing raises ``ArithmeticError``.
 
     Raises ``ValueError`` for a budget below 1, and unless d*d*(q - 1)**3 <
     2**63, since the largest int64 intermediate, g on the frontier, sums at
@@ -265,34 +286,31 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
     upper[:, first, second] = reduced[::-1]
     bounds = np.searchsorted(keys, np.arange(d + 1))
 
-    points: set[FieldVector] = set()
-    found = 0
-    for lead in range(d):
-        frontier = np.zeros((1, 0), dtype=np.int64)
-        for level in range(lead, d):
-            values = np.arange(q) if level > lead else np.ones(1, dtype=np.int64)
-            level_forms = upper[bounds[level]: bounds[level + 1], lead: level + 1, lead: level + 1]
-            g = np.einsum("pa,rab,pb->pr", frontier, level_forms[:, :-1, :-1], frontier) % q
-            h = frontier @ level_forms[:, :-1, -1].T % q
-            u = level_forms[:, -1, -1]
-            vanish = ~((g[:, None, :] + values[:, None] * h[:, None, :]
-                        + values[:, None] ** 2 * u) % q).any(axis=2)
-            parent, child = np.nonzero(vanish)
-            frontier = np.column_stack([frontier[parent], values[child]])
-            if not len(frontier):
-                break
-        else:
-            rows = frontier @ basis[lead:] % q
-            if rows[:, : pivots[lead]].any() or (rows[:, pivots[lead]] != 1).any():
-                raise ArithmeticError(f"a kernel combination led by coefficient {lead} "
-                                      "gave a point whose first nonzero is not 1 at "
-                                      f"pivot {pivots[lead]}")
-            found += len(rows)
-            points.update(map(tuple, rows.tolist()))
-    if len(points) != found:
-        raise ArithmeticError(f"{found} kernel combinations gave {len(points)} points")
-    return PointSet(n=n, k=k, q=q, points=frozenset(points),
-                    examined=projective_count(d, q))
+    examined = 0
+
+    def cells() -> Iterator[tuple[int, np.ndarray]]:
+        nonlocal examined
+        for lead in range(d):
+            frontier = np.zeros((1, 0), dtype=np.int64)
+            for level in range(lead, d):
+                values = np.arange(q) if level > lead else np.ones(1, dtype=np.int64)
+                examined += len(frontier) * len(values)
+                level_forms = upper[bounds[level]: bounds[level + 1],
+                                    lead: level + 1, lead: level + 1]
+                g = np.einsum("pa,rab,pb->pr", frontier, level_forms[:, :-1, :-1], frontier) % q
+                h = frontier @ level_forms[:, :-1, -1].T % q
+                u = level_forms[:, -1, -1]
+                vanish = ~((g[:, None, :] + values[:, None] * h[:, None, :]
+                            + values[:, None] ** 2 * u) % q).any(axis=2)
+                parent, child = np.nonzero(vanish)
+                frontier = np.column_stack([frontier[parent], values[child]])
+                if not len(frontier):
+                    break
+            else:
+                yield pivots[lead], frontier @ basis[lead:] % q
+
+    points = _collect(cells(), "kernel combinations")
+    return PointSet(n=n, k=k, q=q, points=points, examined=examined)
 
 
 def _wedge_minors(bases: np.ndarray, q: int) -> np.ndarray:
@@ -342,8 +360,9 @@ def oracle_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Point
     The complete bases of a pivot set go through ``_wedge_minors`` in slices
     of ``_CHUNK``, giving all C(2n, k) minors in lexicographic column order.
     An echelon basis has pivot minor 1 and zero minors before it, so its minor
-    vector is already normalized; this is checked, as is that the distinct
-    subspaces gave distinct points.  Either check failing raises
+    vector is already normalized at the pivot set's own coordinate.  Each
+    slice is a cell of the collector, which checks that, and that the
+    distinct subspaces gave distinct points: either failing raises
     ``ArithmeticError``.
 
     ``examined`` counts the search nodes, that is the accepted echelon rows at
@@ -367,41 +386,37 @@ def oracle_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Point
     m = 2 * n
     gram = np.array([SymplecticForm(n).dual(unit) for unit in np.eye(m, dtype=int).tolist()],
                     dtype=np.int64)
-    points: set[FieldVector] = set()
-    nodes = leaves = 0
-    for pivots in combinations(range(m), k):
-        if any(m - 1 - p in pivots for p in pivots):
-            continue
-        bases = np.zeros((1, 0, m), dtype=np.int64)
-        for i, pivot in enumerate(pivots):
-            solved = [(j, m - 1 - p) for j, p in enumerate(pivots[:i]) if m - 1 - p > pivot]
-            fixed = set(pivots) | {c for _, c in solved}
-            cells = [c for c in range(pivot + 1, m) if c not in fixed]
-            batch = len(bases) * q ** len(cells)
-            if nodes + batch > budget:
-                raise BudgetExceededError(
-                    required=nodes + batch, budget=budget,
-                    what=(f"isotropic subspace search for (n={n}, k={k}, q={q}), "
-                          f"stopped at echelon row {i + 1} of {k},"))
-            values = np.array(list(product(range(q), repeat=len(cells))), dtype=np.int64)
-            grown = np.zeros((len(bases), len(values), i + 1, m), dtype=np.int64)
-            grown[:, :, :i] = bases[:, None]
-            grown[:, :, i, pivot] = 1
-            grown[:, :, i, cells] = values
-            for j, c in solved:
-                w = bases[:, j] @ gram
-                pairing = np.einsum("pc,pvc->pv", w, grown[:, :, i])
-                grown[:, :, i, c] = -w[:, None, c] * pairing % q
-            bases = grown.reshape(-1, i + 1, m)
-            nodes += len(bases)
-        for start in range(0, len(bases), _CHUNK):
-            minors = _wedge_minors(bases[start: start + _CHUNK], q)
-            lead = minors[np.arange(len(minors)), (minors != 0).argmax(axis=1)]
-            if (lead != 1).any():
-                raise ArithmeticError("an echelon basis has a minor vector whose first "
-                                      "nonzero is not 1")
-            points.update(map(tuple, minors.tolist()))
-        leaves += len(bases)
-    if len(points) != leaves:
-        raise ArithmeticError(f"{leaves} isotropic subspaces gave {len(points)} points")
-    return PointSet(n=n, k=k, q=q, points=frozenset(points), examined=nodes)
+    examined = 0
+
+    def cells() -> Iterator[tuple[int, np.ndarray]]:
+        nonlocal examined
+        for column, pivots in enumerate(combinations(range(m), k)):
+            if any(m - 1 - p in pivots for p in pivots):
+                continue
+            bases = np.zeros((1, 0, m), dtype=np.int64)
+            for i, pivot in enumerate(pivots):
+                solved = [(j, m - 1 - p) for j, p in enumerate(pivots[:i]) if m - 1 - p > pivot]
+                fixed = set(pivots) | {c for _, c in solved}
+                free = [c for c in range(pivot + 1, m) if c not in fixed]
+                batch = len(bases) * q ** len(free)
+                if examined + batch > budget:
+                    raise BudgetExceededError(
+                        required=examined + batch, budget=budget,
+                        what=(f"isotropic subspace search for (n={n}, k={k}, q={q}), "
+                              f"stopped at echelon row {i + 1} of {k},"))
+                values = np.array(list(product(range(q), repeat=len(free))), dtype=np.int64)
+                grown = np.zeros((len(bases), len(values), i + 1, m), dtype=np.int64)
+                grown[:, :, :i] = bases[:, None]
+                grown[:, :, i, pivot] = 1
+                grown[:, :, i, free] = values
+                for j, c in solved:
+                    w = bases[:, j] @ gram
+                    pairing = np.einsum("pc,pvc->pv", w, grown[:, :, i])
+                    grown[:, :, i, c] = -w[:, None, c] * pairing % q
+                bases = grown.reshape(-1, i + 1, m)
+                examined += len(bases)
+            for start in range(0, len(bases), _CHUNK):
+                yield column, _wedge_minors(bases[start: start + _CHUNK], q)
+
+    points = _collect(cells(), "isotropic subspaces")
+    return PointSet(n=n, k=k, q=q, points=points, examined=examined)

@@ -418,7 +418,7 @@ class TestPermutationEquivalent:
             assert back is not None and back.apply(b) == a
 
     def test_apply_rejects_non_permutations(self):
-        eye = BinaryMatrix.identity(2)
+        eye = BinaryMatrix(2, 2, ((0,), (1,)))
         for pair in [PermutationPair((0, 0), (0, 1)), PermutationPair((0, 1), (1, 1)),
                      PermutationPair((0, 2), (0, 1)), PermutationPair((0,), (0, 1))]:
             with pytest.raises(ValueError):

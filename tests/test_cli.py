@@ -206,10 +206,7 @@ class TestPointsCommand:
         err = capsys.readouterr().err
         assert "refused" in err and "1089435600" in err and "33554432" in err
 
-    @pytest.mark.parametrize("command", [
-        ["points", "--n", "2", "--k", "2", "--q", "2"],
-        ["verify", "--suite", "points"],
-    ])
+    @pytest.mark.parametrize("command", [["points", "--n", "2", "--k", "2", "--q", "2"]])
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_non_positive_budget_is_usage_error(self, command, budget, capsys):
         with pytest.raises(SystemExit) as err:
@@ -235,9 +232,12 @@ class TestPointsCommand:
                      "--out", str(tmp_path / "p.txt"),
                      "--summary-out", str(tmp_path / "s.json")])
         assert code == 0
-        for command in (["points", "--n", "2", "--k", "2", "--q", "2"],
-                        ["verify", "--suite", "points"]):
-            assert build_parser().parse_args(command).budget == DEFAULT_BUDGET
+        assert build_parser().parse_args(
+            ["points", "--n", "2", "--k", "2", "--q", "2"]).budget == DEFAULT_BUDGET
+        # verify runs fixed instances under the default budget; it takes no --budget
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["verify", "--suite", "points", "--budget", "1000000"])
+        assert err.value.code == 2
 
     def test_failed_oracle_check_exits_one(self, tmp_path, monkeypatch, capsys):
         minors = variety._wedge_minors

@@ -99,7 +99,7 @@ class TestStructuralLaws:
                 c1 = math.comb(k + ell - 2, ell - 1)
                 bottom = a.submatrix(range(r1, a.rows), range(a.cols))
                 assert bottom.submatrix(range(bottom.rows), range(c1)) == \
-                    BinaryMatrix.identity(c1)
+                    BinaryMatrix(c1, c1, tuple((i,) for i in range(c1)))
                 assert bottom.submatrix(range(bottom.rows), range(c1, a.cols)) == \
                     fractal_matrix(k - 1, ell)
 

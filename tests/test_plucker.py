@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from isofractal import cli
+from isofractal import cli, plucker
 from isofractal.bitmatrix import bipartite_components
 from isofractal.combinat import _insert_pair, index_tuples, pair_free_part, partner
 from isofractal.fractal import fractal_matrix
@@ -311,6 +311,13 @@ class TestDecompose:
         payload = decompose(3, 3).to_json_dict()
         assert set(payload) == {"n", "k", "blocks", "zero_rows", "zero_columns", "flags"}
         assert all(set(b) == {"rows", "cols", "fractal"} for b in payload["blocks"])
+
+    def test_dropped_cell_is_an_error(self, monkeypatch):
+        # a cell without a block leaves its rows and columns uncovered
+        cells = plucker.row_partition
+        monkeypatch.setattr(plucker, "row_partition", lambda n, k: cells(n, k)[1:])
+        with pytest.raises(AssertionError):
+            decompose(4, 4)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "SymplecticForm", "bipartite_components", "contraction", "decompose", "deserialize",
     "direct_sum", "expected_count", "fractal_matrix", "fractal_matrix_blockwise",
     "incidence_matrix", "index_tuples", "kernel_basis", "oracle_points", "pair_free_part",
-    "paste_right", "permutation_equivalent", "plucker_matrix", "projective_count",
+    "paste_right", "permutation_equivalent", "plucker_matrix",
     "quadratic_relations", "rational_points", "row_partition", "rref", "serialize",
     "stack_identity_below", "verify_configuration", "verify_fractal",
     "verify_incidence_fractal_match",

@@ -39,7 +39,7 @@ def test_decomposition_survey():
 def test_point_census():
     lines = run_script("point_census.py", "--instances", "2,2,2")
     assert len(lines) == 1
-    assert lines[0].startswith("(n=2, k=2, q=2)  closed form 15; kernel search 15 of 31 classes")
+    assert lines[0].startswith("(n=2, k=2, q=2)  closed form 15; kernel search 15 of 57 nodes")
     assert "; oracle 15 of 26 nodes [" in lines[0]
     assert lines[0].endswith("sets agree")
 

@@ -147,16 +147,35 @@ class TestRationalPoints:
     def test_two_two_two(self):
         result = rational_points(2, 2, 2)
         assert result.count == 15
-        assert result.examined == 31
+        assert result.examined == 57
 
     def test_two_two_three(self):
         assert rational_points(2, 2, 3).count == 40
 
-    def test_classification_partitions_the_stream(self):
+    def test_classification_partitions_the_stream(self, monkeypatch):
+        # at (2, 2, 3), d = 5, no row is rejected before the last level: the
+        # search builds all sum_j (3**j - 1) / 2 = 179 rows, and the last
+        # level sorts the (3**5 - 1) / 2 = 121 classes into 40 points and 81
+        # rejected; with every form zero, all 121 are points
         result = rational_points(2, 2, 3)
-        rejected = result.examined - result.count
-        assert result.examined == (3**5 - 1) // 2
-        assert rejected == result.examined - 40
+        assert (result.count, result.examined) == (40, 179)
+        pullback = variety._pullback_forms
+        monkeypatch.setattr(variety, "_pullback_forms", lambda *args: 0 * pullback(*args))
+        vacuous = rational_points(2, 2, 3)
+        assert (vacuous.count, vacuous.examined) == ((3**5 - 1) // 2, 179)
+
+    @pytest.mark.parametrize("n,k,q,rows,nodes", [
+        (2, 2, 2, 57, 26),
+        (2, 2, 3, 179, 62),
+        (2, 2, 5, 975, 212),
+        (3, 2, 2, 4624, 416),
+        (3, 3, 2, 2072, 281),
+        (3, 2, 3, 78542, 4070),
+        (3, 3, 3, 21788, 1884),
+    ])
+    def test_both_routes_count_rows_built(self, n, k, q, rows, nodes):
+        assert rational_points(n, k, q).examined == rows
+        assert oracle_points(n, k, q).examined == nodes
 
     def test_oracle_equality_small(self):
         for n, k, q in REFERENCE_INSTANCES:
@@ -412,6 +431,15 @@ class TestOraclePoints:
                             lambda bases, q: 2 * minors(bases, q) % q)
         with pytest.raises(ArithmeticError, match="first nonzero"):
             oracle_points(2, 2, 3)
+
+    def test_rolled_minor_vector_is_an_error(self, monkeypatch):
+        # every minor moved one coordinate on: the first nonzero of a rolled
+        # vector can still be 1, but not always at its pivot set's coordinate
+        minors = variety._wedge_minors
+        monkeypatch.setattr(variety, "_wedge_minors",
+                            lambda bases, q: np.roll(minors(bases, q), 1, axis=1))
+        with pytest.raises(ArithmeticError, match="first nonzero"):
+            oracle_points(2, 2, 2)
 
     def test_repeated_point_is_an_error(self, monkeypatch):
         minors = variety._wedge_minors
