@@ -14,13 +14,12 @@ from .bitmatrix import (
     stack_identity_below,
 )
 from .combinat import (
-    Cell,
     IndexTuple,
     index_tuples,
     pair_free_part,
     row_partition,
 )
-from .fractal import FractalParams, fractal_matrix, fractal_matrix_blockwise, verify_fractal
+from .fractal import fractal_matrix, fractal_matrix_blockwise, verify_fractal
 from .gf import (
     FieldMatrix,
     PrimeField,
@@ -36,7 +35,6 @@ from .plucker import (
     Block,
     DecompositionReport,
     PluckerMatrix,
-    SymplecticForm,
     contraction,
     decompose,
     plucker_matrix,
@@ -45,7 +43,6 @@ from .variety import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     PointSet,
-    QuadraticRelation,
     expected_count,
     oracle_points,
     quadratic_relations,

@@ -119,7 +119,6 @@ def _cmd_points(args: argparse.Namespace) -> int:
         "count": result.count,
         "expected": expected,
         "match": result.count == expected,
-        "mode": "signed",
         "elapsed": round(elapsed, 6),
     }
     if args.oracle:

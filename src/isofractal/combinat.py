@@ -10,13 +10,13 @@ stable across runs.
 On top of the raw tuples this module provides the pairing of a symplectic
 basis (``partner``: the n index pairs (i, 2n+1-i) partition [2n]), insertion
 of a whole pair into a tuple together with the wedge reordering sign, and the
-partition of tuples by the pair-free part of their support.
+partition of tuples by the pair-free part of their support, each cell a plain
+``(label, members)`` pair.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations
 
 IndexTuple = tuple[int, ...]
@@ -62,21 +62,14 @@ def pair_free_part(t: IndexTuple, n: int) -> IndexTuple:
     return tuple(e for e in t if partner(e, n) not in supp)
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One class of the pair-free-support partition: a label and its tuples."""
-
-    label: IndexTuple
-    members: tuple[IndexTuple, ...]
-
-
-def row_partition(n: int, k: int) -> tuple[Cell, ...]:
+def row_partition(n: int, k: int) -> tuple[tuple[IndexTuple, tuple[IndexTuple, ...]], ...]:
     """Group the (k-2)-tuples over [2n] by the pair-free part of their support.
 
-    A tuple lands in the cell labeled by its entries whose partner is absent;
-    the remaining entries always form whole pairs.  Cells are ordered by label
-    size and then lexicographically, so cells sharing a free-entry count are
-    grouped together.
+    Returns one ``(label, members)`` pair per cell: a tuple lands in the cell
+    labeled by its entries whose partner is absent, and the remaining entries
+    always form whole pairs.  Members are in lexicographic order.  Cells are
+    ordered by label size and then lexicographically, so cells sharing a
+    free-entry count are grouped together.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
@@ -84,4 +77,4 @@ def row_partition(n: int, k: int) -> tuple[Cell, ...]:
     for t in index_tuples(k - 2, 2 * n):
         cells.setdefault(pair_free_part(t, n), []).append(t)
     ordered = sorted(cells, key=lambda lab: (len(lab), lab))
-    return tuple(Cell(label=lab, members=tuple(cells[lab])) for lab in ordered)
+    return tuple((lab, tuple(cells[lab])) for lab in ordered)

@@ -1,8 +1,10 @@
 """The recursive self-similar matrix family A(k, ell).
 
 A(k, ell) is the (0,1)-matrix with k ones per row, ell per column, and
-dimensions C(k+ell-1, ell-1) x C(k+ell-1, ell).  It is built here by two
-independent routes that must agree bit for bit:
+dimensions C(k+ell-1, ell-1) x C(k+ell-1, ell).  A member is named by the
+plain pair (k, ell), which each builder checks against k, ell >= 1 and the
+size limit ``MAX_DIMENSION``.  It is built here by two independent routes
+that must agree bit for bit:
 
 * the paste route: A(k, 1) is the 1 x k all-ones row, and A(k, ell) pastes
   the identity-stacked A(j, ell-1) for j = k down to 1 side by side,
@@ -19,7 +21,6 @@ literally [A(k, ell-1), 0; I, A(k-1, ell)], so where both routes agree at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,17 +29,6 @@ from .bitmatrix import MAX_DIMENSION, BinaryMatrix, paste_right, stack_identity_
 # Entries kept by each memoized builder: verify --suite all plus the largest
 # emits hold 65 and 36, the whole decompose range 15, in one process.
 _CACHE_SIZE = 128
-
-
-@dataclass(frozen=True)
-class FractalParams:
-    """Row weight k and column weight ell of one family member."""
-
-    k: int
-    ell: int
-
-    def __post_init__(self) -> None:
-        _check_params(self.k, self.ell)
 
 
 def _check_params(k: int, ell: int) -> None:

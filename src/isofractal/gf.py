@@ -54,12 +54,6 @@ class PrimeField:
                 raise ValueError(f"modulus {p} is not prime")
             d += 1
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
-
 
 FieldVector = tuple[int, ...]
 SparseRow = tuple[tuple[int, int], ...]
@@ -115,7 +109,7 @@ def rref(m: FieldMatrix) -> tuple[tuple[int, ...], tuple[SparseRow, ...]]:
             if index is None:
                 continue
             pivot = remaining.pop(index)
-            inv = m.field.inv(pivot[c])
+            inv = pow(pivot[c], -1, p)
             if inv != 1:
                 pivot = {j: (v * inv) % p for j, v in pivot.items()}
             for row in remaining + done:

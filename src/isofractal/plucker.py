@@ -1,9 +1,10 @@
 """The sparse linear system cutting the isotropic subspaces out of the Grassmannian.
 
-One linear form per (k-2)-tuple: the sum, over the basis pairs disjoint from
-the tuple, of the wedge coordinate indexed by tuple plus pair.  Collecting the
-forms gives a C(2n, k-2) x C(2n, k) coefficient matrix.  Two coefficient modes
-exist side by side:
+The symplectic form enters only through its basis pairs, the index pairs
+(i, 2n+1-i) of ``combinat.partner``.  One linear form per (k-2)-tuple: the
+sum, over the basis pairs disjoint from the tuple, of the wedge coordinate
+indexed by tuple plus pair.  Collecting the forms gives a C(2n, k-2) x
+C(2n, k) coefficient matrix.  Two coefficient modes exist side by side:
 
 * unsigned: every occurring coordinate enters with coefficient +1,
 * signed: each coordinate carries the reordering sign of the pair contraction,
@@ -17,7 +18,8 @@ once, as ``(column, sign)`` pairs in ascending column order (the layout of
 views derived from those rows.  ``decompose`` builds the block structure
 of the support from the pair-free parts of the labels, one block per cell of
 the row partition, and checks each block against its member of the recursive
-family bit for bit, with no component search and no equivalence search.
+family bit for bit, with no component search and no equivalence search.  A
+block names its member by the plain pair (k, ell).
 """
 
 from __future__ import annotations
@@ -39,34 +41,8 @@ from .combinat import (
     partner,
     row_partition,
 )
-from .fractal import FractalParams, fractal_matrix
+from .fractal import fractal_matrix
 from .gf import FieldMatrix, FieldVector, PrimeField
-
-
-@dataclass(frozen=True)
-class SymplecticForm:
-    """The standard nondegenerate skew pairing on a 2n-dimensional space.
-
-    Basis vectors pair to +1 on (i, 2n+1-i) for i <= n, to -1 the other way
-    around, and to 0 otherwise.
-    """
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-
-    def dual(self, x: list[int]) -> list[int]:
-        """Coefficients of the linear form y -> pairing(x, y), 0-based lists.
-
-        Coordinate c of the result is x at the partner 2n-1-c, negated when c
-        is in the first half.
-        """
-        m = 2 * self.n
-        if len(x) != m:
-            raise ValueError(f"vectors must have length {m}")
-        return [x[m - 1 - c] if c >= self.n else -x[m - 1 - c] for c in range(m)]
 
 
 @dataclass(frozen=True)
@@ -197,11 +173,11 @@ def contraction(n: int, k: int, w: list[int] | FieldVector, field: PrimeField) -
 
 @dataclass(frozen=True)
 class Block:
-    """One block of the support: its rows, its columns and its family member."""
+    """One block of the support: its rows, its columns and its family member (k, ell)."""
 
     rows: tuple[int, ...]
     cols: tuple[int, ...]
-    fractal: FractalParams
+    fractal: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -218,8 +194,7 @@ class DecompositionReport:
     def block_census(self) -> dict[tuple[int, int], int]:
         census: dict[tuple[int, int], int] = {}
         for b in self.blocks:
-            key = (b.fractal.k, b.fractal.ell)
-            census[key] = census.get(key, 0) + 1
+            census[b.fractal] = census.get(b.fractal, 0) + 1
         return census
 
     def to_json_dict(self) -> dict:
@@ -230,7 +205,7 @@ class DecompositionReport:
                 {
                     "rows": list(b.rows),
                     "cols": list(b.cols),
-                    "fractal": [b.fractal.k, b.fractal.ell],
+                    "fractal": list(b.fractal),
                 }
                 for b in self.blocks
             ],
@@ -300,16 +275,16 @@ def decompose(n: int, k: int) -> DecompositionReport:
     row_index = {t: r for r, t in enumerate(pm.row_labels)}
     blocks = []
     weight = 0
-    for cell in row_partition(n, k):
-        j = (k - len(cell.label)) // 2
+    for label, members in row_partition(n, k):
+        j = (k - len(label)) // 2
         a = n - k + j + 1
-        rows = tuple(row_index[member] for member in cell.members)
-        cols = tuple(cols_by_label.get(cell.label, ()))
+        rows = tuple(row_index[member] for member in members)
+        cols = tuple(cols_by_label.get(label, ()))
         sub = support.submatrix(rows, cols)
         if sub != fractal_matrix(a, j):
-            raise AssertionError(f"the block at cell {cell.label} is not A({a}, {j})")
+            raise AssertionError(f"the block at cell {label} is not A({a}, {j})")
         weight += sub.weight
-        blocks.append(Block(rows, cols, FractalParams(a, j)))
+        blocks.append(Block(rows, cols, (a, j)))
     blocks.sort(key=lambda block: block.rows[0])
     zero_rows = tuple(r for r, w in enumerate(support.row_weights()) if not w)
 

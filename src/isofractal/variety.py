@@ -11,11 +11,15 @@ Two independent routes produce the same point set:
   the isotropic k-dimensional subspaces level by level, the same shape as the
   kernel search: a numpy frontier of partial bases grows by one echelon row
   per level, taking every value of the row's free cells and solving the
-  cells that make it pair to zero with the rows above.  The complete bases go
-  through the minor (wedge coordinate) map, a Laplace expansion one row at a
-  time, in slices.  It uses neither the linear system nor the relations, and
-  its budget bounds the search nodes (accepted echelon rows), checked once
-  per level before the level is built.
+  cells that make it pair to zero with the rows above.  The pairing of x and
+  y is x_i y_(2n-1-i) - x_(2n-1-i) y_i summed over i < n (0-based): +1 on the
+  basis pairs (i, 2n+1-i), i <= n, in 1-based terms.  As a linear form in y
+  it is x reversed with its first n cells negated, and the oracle forms it as
+  that signed reversal.  The complete bases go through the minor (wedge
+  coordinate) map, a Laplace expansion one row at a time, in slices.  It uses
+  neither the linear system nor the relations, and its budget bounds the
+  search nodes (accepted echelon rows), checked once per level before the
+  level is built.
 
 Both hand their points a cell at a time to one collector, which checks that
 they are normalized and distinct, and both count the rows their search builds.
@@ -38,7 +42,7 @@ import numpy as np
 
 from .combinat import IndexTuple, index_tuples
 from .gf import FieldMatrix, FieldVector, PrimeField, kernel_basis, rref, sparse_entries
-from .plucker import SymplecticForm, plucker_matrix
+from .plucker import plucker_matrix
 
 DEFAULT_BUDGET = 1 << 25
 # Both routes return each point as a tuple of C(2n, k) coordinates in a set,
@@ -65,43 +69,36 @@ class BudgetExceededError(ValueError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class QuadraticRelation:
-    """One exchange relation: a (k-1)-tuple paired with a (k+1)-tuple."""
+def quadratic_relations(n: int, k: int) -> list[tuple[IndexTuple, IndexTuple]]:
+    """All exchange relations in lexicographic order.
 
-    alpha: IndexTuple
-    beta: IndexTuple
-
-
-def quadratic_relations(n: int, k: int) -> list[QuadraticRelation]:
-    """All relation index pairs in lexicographic order."""
+    Each is a pair (alpha, beta) of a (k-1)-tuple and a (k+1)-tuple.
+    """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    return [
-        QuadraticRelation(alpha, beta)
-        for alpha in index_tuples(k - 1, 2 * n)
-        for beta in index_tuples(k + 1, 2 * n)
-    ]
+    return [(alpha, beta)
+            for alpha in index_tuples(k - 1, 2 * n)
+            for beta in index_tuples(k + 1, 2 * n)]
 
 
 def _relation_terms(
-    rel: QuadraticRelation, index: dict[IndexTuple, int]
+    rel: tuple[IndexTuple, IndexTuple], index: dict[IndexTuple, int]
 ) -> list[tuple[int, int, int]]:
-    """Compile a relation to (sign, first coordinate index, second coordinate index).
+    """Compile a relation (alpha, beta) to (sign, first coordinate index, second coordinate index).
 
     ``index`` maps each k-tuple label to its coordinate.  Terms whose extended
     tuple repeats an entry vanish and are dropped.  The sign combines the
     alternating position sign with the parity of sorting the appended entry
     into place.
     """
-    alpha_set = set(rel.alpha)
+    alpha, beta = rel
     terms = []
-    for pos, b in enumerate(rel.beta, start=1):
-        if b in alpha_set:
+    for pos, b in enumerate(beta, start=1):
+        if b in alpha:
             continue
-        inversions = sum(1 for a in rel.alpha if a > b)
-        first = tuple(sorted(rel.alpha + (b,)))
-        second = rel.beta[: pos - 1] + rel.beta[pos:]
+        inversions = sum(1 for a in alpha if a > b)
+        first = tuple(sorted(alpha + (b,)))
+        second = beta[: pos - 1] + beta[pos:]
         terms.append(((-1) ** (pos + inversions), index[first], index[second]))
     return terms
 
@@ -144,7 +141,7 @@ def _monomials(d: int) -> tuple[np.ndarray, np.ndarray]:
     return first[::-1], second[::-1]
 
 
-def _pullback_forms(relations: list[QuadraticRelation], basis: np.ndarray,
+def _pullback_forms(relations: list[tuple[IndexTuple, IndexTuple]], basis: np.ndarray,
                     n: int, k: int, q: int) -> np.ndarray:
     """Row r: relation r at c @ basis as a form in c, one column per monomial.
 
@@ -345,9 +342,10 @@ def oracle_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Point
     frontier of partial bases is extended one echelon row per level, by rows
     that pair to zero with every row already chosen, so no non-isotropic
     subspace is built.  The pairing with the earlier row j is the linear form
-    w = dual(r_j).  As r_j is 1 at p_j and zero before p_j and at the other
-    pivots, w is +-1 at the partner cell c_j = 2n-1-p_j, zero past it, and
-    zero at the partner cell of every other pivot.  Hence:
+    w = r_j reversed, negated in its first n cells (see the module docstring).
+    As r_j is 1 at p_j and zero before p_j and at the other pivots, w is +-1
+    at the partner cell c_j = 2n-1-p_j, zero past it, and zero at the partner
+    cell of every other pivot.  Hence:
 
     * a pivot set holding a partner pair {p_j, c_j} pairs row j and the row
       pivoting at c_j to +-1 whatever the free cells hold; it is skipped;
@@ -384,8 +382,7 @@ def oracle_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Point
                          f"2n*(q-1)**2 < 2**63, here n={n}")
     _refuse_held_points(n, k, q)  # validates primality
     m = 2 * n
-    gram = np.array([SymplecticForm(n).dual(unit) for unit in np.eye(m, dtype=int).tolist()],
-                    dtype=np.int64)
+    sign = np.repeat([-1, 1], n)
     examined = 0
 
     def cells() -> Iterator[tuple[int, np.ndarray]]:
@@ -410,7 +407,7 @@ def oracle_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Point
                 grown[:, :, i, pivot] = 1
                 grown[:, :, i, free] = values
                 for j, c in solved:
-                    w = bases[:, j] @ gram
+                    w = bases[:, j, ::-1] * sign
                     pairing = np.einsum("pc,pvc->pv", w, grown[:, :, i])
                     grown[:, :, i, c] = -w[:, None, c] * pairing % q
                 bases = grown.reshape(-1, i + 1, m)

@@ -166,7 +166,7 @@ class TestPointsCommand:
         assert summary["count"] == 15
         assert summary["expected"] == 15
         assert summary["match"] is True
-        assert summary["mode"] == "signed"
+        assert set(summary) == {"count", "expected", "match", "elapsed"}
         lines = points_path.read_text().splitlines()
         assert len(lines) == 15
         assert all(len(line.split()) == 6 for line in lines)
@@ -288,6 +288,47 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         validate(payload, load_schema("verify-report.schema.json"))
         assert all(c["passed"] for c in payload["checks"])
+
+
+# each schema's command, less the path its output is written to, which comes last
+SCHEMA_COMMANDS = {
+    "decompose-report.schema.json": ["decompose", "--n", "4", "--k", "4", "--out"],
+    "points-summary.schema.json": ["points", "--n", "2", "--k", "2", "--q", "3", "--oracle",
+                                   "--out", "points.txt", "--summary-out"],
+    "verify-report.schema.json": ["verify", "--suite", "fractal", "--out"],
+}
+
+
+def declared_properties(schema, path=()):
+    """Every property path a schema declares, through nested objects and array items."""
+    for name, sub in schema.get("properties", {}).items():
+        yield path + (name,)
+        yield from declared_properties(sub, path + (name,))
+    if "items" in schema:
+        yield from declared_properties(schema["items"], path)
+
+
+def present_properties(value, path=()):
+    """Every key path of a JSON value, array items sharing their array's path."""
+    if isinstance(value, dict):
+        for name, sub in value.items():
+            yield path + (name,)
+            yield from present_properties(sub, path + (name,))
+    elif isinstance(value, list):
+        for item in value:
+            yield from present_properties(item, path)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCHEMAS.glob("*.schema.json")))
+def test_every_schema_property_is_written(name, tmp_path, monkeypatch):
+    # a property no command writes is a dead field of the schema
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.json"
+    assert main([*SCHEMA_COMMANDS[name], str(out)]) == 0
+    payload = json.loads(out.read_text())
+    schema = load_schema(name)
+    validate(payload, schema)
+    assert set(declared_properties(schema)) <= set(present_properties(payload))
 
 
 def readme_commands():

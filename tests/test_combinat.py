@@ -155,27 +155,19 @@ class TestInsertPairWithSign:
 
 class TestRowPartition:
     def test_trivial_case(self):
-        part = row_partition(2, 2)
-        assert len(part) == 1
-        assert part[0].label == ()
-        assert part[0].members == ((),)
+        assert row_partition(2, 2) == (((), ((),)),)
 
     def test_four_four(self):
         part = row_partition(4, 4)
-        empty = part[0]
-        assert empty.label == ()
-        assert empty.members == ((1, 8), (2, 7), (3, 6), (4, 5))
-        pairs_cells = [c for c in part if len(c.label) == 2]
+        assert part[0] == ((), ((1, 8), (2, 7), (3, 6), (4, 5)))
+        pairs_cells = [(label, members) for label, members in part if len(label) == 2]
         assert len(pairs_cells) == 24
-        for cell in pairs_cells:
-            a1, a2 = cell.label
+        for (a1, a2), members in pairs_cells:
             assert a1 + a2 != 9
-            assert cell.members == (cell.label,)
+            assert members == ((a1, a2),)
 
     def test_three_three(self):
-        part = row_partition(3, 3)
-        assert [c.label for c in part] == [(j,) for j in range(1, 7)]
-        assert all(c.members == (c.label,) for c in part)
+        assert row_partition(3, 3) == tuple(((j,), ((j,),)) for j in range(1, 7))
 
     def test_brute_force_classification(self):
         # independent rule: free entries are those whose partner is absent
@@ -183,10 +175,10 @@ class TestRowPartition:
             for k in range(2, n + 1):
                 part = row_partition(n, k)
                 seen = set()
-                for cell in part:
-                    for t in cell.members:
+                for label, members in part:
+                    for t in members:
                         free = tuple(e for e in t if (2 * n + 1 - e) not in t)
-                        assert free == cell.label
+                        assert free == label
                         rest = [e for e in t if e not in free]
                         assert all((2 * n + 1 - e) in rest for e in rest)
                         assert t not in seen
@@ -198,14 +190,14 @@ class TestRowPartition:
             for k in range(2, n + 1):
                 part = row_partition(n, k)
                 by_size = {}
-                for cell in part:
-                    by_size.setdefault(len(cell.label), []).append(cell)
+                for label, members in part:
+                    by_size.setdefault(len(label), []).append(members)
                 total = 0
                 for t, cells in by_size.items():
                     assert len(cells) == math.comb(n, t) * 2**t
-                    for cell in cells:
-                        assert len(cell.members) == math.comb(n - t, (k - 2 - t) // 2)
-                    total += sum(len(c.members) for c in cells)
+                    for members in cells:
+                        assert len(members) == math.comb(n - t, (k - 2 - t) // 2)
+                    total += sum(map(len, cells))
                 assert total == math.comb(2 * n, k - 2)
 
     def test_domain_errors(self):

@@ -5,7 +5,6 @@ import pytest
 from isofractal import fractal
 from isofractal.bitmatrix import BinaryMatrix, deserialize
 from isofractal.fractal import (
-    FractalParams,
     fractal_matrix,
     fractal_matrix_blockwise,
     verify_fractal,
@@ -61,22 +60,17 @@ class TestConstruction:
         assert (m.rows, m.cols) == (math.comb(8, 3), math.comb(8, 4)) == (56, 70)
 
     def test_domain_errors(self):
-        for bad in [(0, 1), (1, 0), (-1, 2)]:
+        for bad in [(0, 1), (1, 0), (-1, 2), (0, 3)]:
             with pytest.raises(ValueError):
                 fractal_matrix(*bad)
             with pytest.raises(ValueError):
                 fractal_matrix_blockwise(*bad)
-
-    def test_params_value(self):
-        params = FractalParams(4, 3)
-        assert (params.k, params.ell) == (4, 3)
-        with pytest.raises(ValueError):
-            FractalParams(0, 3)
-        # the size limit of the builders, MAX_DIMENSION, holds for the params too
-        for k, ell in [(40, 40), (30, 30)]:
+        # the size limit MAX_DIMENSION is checked before anything is built
+        for bad in [(40, 40), (30, 30)]:
             with pytest.raises(ValueError, match="past the limit"):
-                FractalParams(k, ell)
-        assert FractalParams(9, 8).ell == 8
+                fractal_matrix(*bad)
+            with pytest.raises(ValueError, match="past the limit"):
+                fractal_matrix_blockwise(*bad)
 
 
 class TestStructuralLaws:

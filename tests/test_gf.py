@@ -157,13 +157,6 @@ class TestPrimeField:
             with pytest.raises(ValueError):
                 PrimeField(p)
 
-    def test_inverse(self):
-        f = PrimeField(7)
-        for a in range(1, 7):
-            assert (a * f.inv(a)) % 7 == 1
-        with pytest.raises(ZeroDivisionError):
-            f.inv(0)
-
 
 class TestRref:
     def test_identity_fixed_point(self):

@@ -9,9 +9,8 @@ from isofractal import cli, plucker
 from isofractal.bitmatrix import bipartite_components
 from isofractal.combinat import _insert_pair, index_tuples, pair_free_part, partner
 from isofractal.fractal import fractal_matrix
-from isofractal.gf import FieldMatrix, PrimeField, kernel_basis, rref
+from isofractal.gf import PrimeField, kernel_basis, rref
 from isofractal.plucker import (
-    SymplecticForm,
     contraction,
     decompose,
     plucker_matrix,
@@ -44,58 +43,13 @@ REPORT_SHA256 = {
 
 
 def gram_matrix(n):
-    """Gram matrix of the form from its definition: +1 at (i, 2n+1-i) for i <= n."""
+    """Gram matrix of the symplectic pairing from its definition: +1 at (i, 2n+1-i) for i <= n."""
     m = 2 * n
     gram = [[0] * m for _ in range(m)]
     for i in range(n):
         gram[i][m - 1 - i] = 1
         gram[m - 1 - i][i] = -1
     return gram
-
-
-def unit(i, m):
-    return [int(j == i) for j in range(m)]
-
-
-def pair_vectors(form, x, y):
-    """Pairing of coordinate vectors as the dot product of y with dual(x)."""
-    return sum(a * b for a, b in zip(form.dual(x), y))
-
-
-class TestSymplecticForm:
-    def test_gram_skew_symmetric_and_invertible(self):
-        for n in (1, 2, 3, 4):
-            form = SymplecticForm(n)
-            m = 2 * n
-            gram = [[pair_vectors(form, unit(i, m), unit(j, m)) for j in range(m)]
-                    for i in range(m)]
-            for i in range(m):
-                for j in range(m):
-                    assert gram[i][j] == -gram[j][i]
-            for p in (2, 3):
-                rows = tuple(tuple((j, v % p) for j, v in enumerate(row) if v % p)
-                             for row in gram)
-                pivots, _ = rref(FieldMatrix(PrimeField(p), rows, m))
-                assert len(pivots) == m
-
-    def test_pairing_values(self):
-        form = SymplecticForm(2)
-        assert pair_vectors(form, unit(0, 4), unit(3, 4)) == 1
-        assert pair_vectors(form, unit(3, 4), unit(0, 4)) == -1
-        assert pair_vectors(form, unit(0, 4), unit(1, 4)) == 0
-
-    def test_pair_vectors_matches_gram(self):
-        rng = random.Random(0)
-        form = SymplecticForm(3)
-        gram = gram_matrix(3)
-        for _ in range(20):
-            x = [rng.randrange(-3, 4) for _ in range(6)]
-            y = [rng.randrange(-3, 4) for _ in range(6)]
-            direct = pair_vectors(form, x, y)
-            via_gram = sum(
-                x[i] * gram[i][j] * y[j] for i in range(6) for j in range(6)
-            )
-            assert direct == via_gram
 
 
 class TestPluckerMatrix:
@@ -234,6 +188,24 @@ class TestContraction:
         assert out == pm.apply(w.tolist(), big)
         assert all(type(x) is int for x in out) and any(x > 2**62 for x in out)
 
+    def test_wedge_of_two_vectors_contracts_to_their_pairing(self):
+        # isotropy two ways: contraction of x ^ y, and x @ gram @ y; the linear
+        # form x @ gram is x reversed with its first n cells negated
+        rng = random.Random(13)
+        for n in (1, 2, 3, 4):
+            m = 2 * n
+            gram = gram_matrix(n)
+            cols = index_tuples(2, m)
+            for _ in range(20):
+                x = [rng.randrange(-3, 4) for _ in range(m)]
+                y = [rng.randrange(-3, 4) for _ in range(m)]
+                form = [sum(x[i] * gram[i][c] for i in range(m)) for c in range(m)]
+                assert form == [-v for v in x[::-1][:n]] + x[::-1][n:]
+                pairing = sum(a * b for a, b in zip(form, y))
+                w = [x[a - 1] * y[b - 1] - x[b - 1] * y[a - 1] for a, b in cols]
+                for p in (2, 3, 5):
+                    assert contraction(n, 2, w, PrimeField(p)) == (pairing % p,)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             contraction(2, 2, [0, 1], PrimeField(2))
@@ -278,7 +250,7 @@ class TestDecompose:
                 seen_rows |= set(block.rows)
                 seen_cols |= set(block.cols)
                 sub = pm.support.submatrix(block.rows, block.cols)
-                assert sub == fractal_matrix(block.fractal.k, block.fractal.ell), (n, k)
+                assert sub == fractal_matrix(*block.fractal), (n, k)
                 weight += sub.weight
             assert seen_rows == set(range(pm.support.rows))
             assert seen_cols == set(range(pm.support.cols))

@@ -5,10 +5,10 @@ import isofractal
 # every public name the package exports; a new name, or a removed one, is a
 # deliberate change to this list
 PUBLIC_NAMES = [
-    "BinaryMatrix", "Block", "BudgetExceededError", "Cell", "DEFAULT_BUDGET",
-    "DecompositionReport", "FieldMatrix", "FractalParams", "IndexTuple", "ParseError",
-    "PermutationPair", "PluckerMatrix", "PointSet", "PrimeField", "QuadraticRelation",
-    "SymplecticForm", "bipartite_components", "contraction", "decompose", "deserialize",
+    "BinaryMatrix", "Block", "BudgetExceededError", "DEFAULT_BUDGET",
+    "DecompositionReport", "FieldMatrix", "IndexTuple", "ParseError",
+    "PermutationPair", "PluckerMatrix", "PointSet", "PrimeField",
+    "bipartite_components", "contraction", "decompose", "deserialize",
     "direct_sum", "expected_count", "fractal_matrix", "fractal_matrix_blockwise",
     "incidence_matrix", "index_tuples", "kernel_basis", "oracle_points", "pair_free_part",
     "paste_right", "permutation_equivalent", "plucker_matrix",

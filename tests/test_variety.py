@@ -16,7 +16,6 @@ from isofractal.variety import (
     DEFAULT_BUDGET,
     MAX_HELD_COORDINATES,
     BudgetExceededError,
-    QuadraticRelation,
     _monomials,
     _pullback_forms,
     _wedge_minors,
@@ -35,14 +34,10 @@ class TestQuadraticRelations:
 
     def test_lex_order(self):
         rels = quadratic_relations(2, 2)
-        assert rels[0].alpha == (1,) and rels[0].beta == (1, 2, 3)
+        assert rels[0] == ((1,), (1, 2, 3))
         # first relation whose index tuples are disjoint
-        first_disjoint = next(
-            r for r in rels if not set(r.alpha) & set(r.beta)
-        )
-        assert first_disjoint.alpha == (1,) and first_disjoint.beta == (2, 3, 4)
-        as_pairs = [(r.alpha, r.beta) for r in rels]
-        assert as_pairs == sorted(as_pairs)
+        assert next(r for r in rels if not set(r[0]) & set(r[1])) == ((1,), (2, 3, 4))
+        assert rels == sorted(rels)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -65,13 +60,14 @@ def evaluate_relation(rel, w, n, k, field):
     m = 2 * n
     if len(w) != math.comb(m, k):
         raise ValueError(f"vector length {len(w)} != C({m}, {k})")
+    alpha, beta = rel
     total = 0
-    for pos, b in enumerate(rel.beta, start=1):
-        if b in rel.alpha:
+    for pos, b in enumerate(beta, start=1):
+        if b in alpha:
             continue
-        inversions = sum(1 for a in rel.alpha if a > b)
-        first = rank(tuple(sorted(rel.alpha + (b,))), m)
-        second = rank(tuple(v for v in rel.beta if v != b), m)
+        inversions = sum(1 for a in alpha if a > b)
+        first = rank(tuple(sorted(alpha + (b,))), m)
+        second = rank(tuple(v for v in beta if v != b), m)
         total += (-1) ** (pos + inversions) * w[first] * w[second]
     return total % field.p
 
@@ -86,24 +82,24 @@ def vector_with(n, k, assignments):
 
 class TestEvaluateRelation:
     def test_decomposable_coordinate_vanishes(self):
-        rel = QuadraticRelation((1,), (2, 3, 4))
+        rel = ((1,), (2, 3, 4))
         w = vector_with(2, 2, {(1, 2): 1})
         assert evaluate_relation(rel, w, 2, 2, PrimeField(3)) == 0
 
     def test_known_nonzero_value(self):
-        rel = QuadraticRelation((1,), (2, 3, 4))
+        rel = ((1,), (2, 3, 4))
         w = vector_with(2, 2, {(1, 2): 1, (3, 4): 1})
         # -X12 X34 + X13 X24 - X14 X23 = -1
         assert evaluate_relation(rel, w, 2, 2, PrimeField(3)) == 2
         assert evaluate_relation(rel, w, 2, 2, PrimeField(5)) == 4
 
     def test_zero_vector(self):
-        rel = QuadraticRelation((1,), (2, 3, 4))
+        rel = ((1,), (2, 3, 4))
         w = vector_with(2, 2, {})
         assert evaluate_relation(rel, w, 2, 2, PrimeField(2)) == 0
 
     def test_dimension_mismatch(self):
-        rel = QuadraticRelation((1,), (2, 3, 4))
+        rel = ((1,), (2, 3, 4))
         with pytest.raises(ValueError):
             evaluate_relation(rel, [0, 1], 2, 2, PrimeField(2))
 
@@ -163,6 +159,34 @@ class TestRationalPoints:
         monkeypatch.setattr(variety, "_pullback_forms", lambda *args: 0 * pullback(*args))
         vacuous = rational_points(2, 2, 3)
         assert (vacuous.count, vacuous.examined) == ((3**5 - 1) // 2, 179)
+
+    def test_square_of_the_next_coefficient(self, monkeypatch):
+        # no reduced pullback at q >= 3 has been seen with a square of its
+        # highest coefficient, so synthetic forms pin the u*v**2 term: at
+        # q = 3, v**2 differs from v at v = 2, and a dropped term differs at v = 1
+        q, d = 3, 5
+        first, second = _monomials(d)
+        squares = [{(4, 4): 1, (0, 1): 1, (2, 3): 2}, {(3, 3): 1, (1, 2): 2}]
+        monomials = list(zip(first.tolist(), second.tolist()))
+        forms = np.array([[form.get(mono, 0) for mono in monomials] for form in squares],
+                         dtype=np.int64)
+        bases = []
+
+        def synthetic(relations, basis, n, k, q):
+            bases.append(basis)
+            return forms
+
+        monkeypatch.setattr(variety, "_pullback_forms", synthetic)
+        found = rational_points(2, 2, q).points
+        [basis] = bases
+        assert len(basis) == d
+        # every projective coefficient vector, first nonzero 1, kept where the forms vanish
+        expected = set()
+        for c in map(np.array, product(range(q), repeat=d)):
+            normalized = c.any() and c[np.flatnonzero(c)[0]] == 1
+            if normalized and not (forms @ (c[first] * c[second]) % q).any():
+                expected.add(tuple((c @ basis % q).tolist()))
+        assert found == expected
 
     @pytest.mark.parametrize("n,k,q,rows,nodes", [
         (2, 2, 2, 57, 26),
@@ -286,7 +310,7 @@ def normalize_projective(v, field):
     lead = next((x for x in reduced if x), None)
     if lead is None:
         raise ValueError("the zero vector has no projective representative")
-    inv = field.inv(lead)
+    inv = pow(lead, -1, p)
     return tuple((x * inv) % p for x in reduced)
 
 
