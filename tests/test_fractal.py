@@ -60,17 +60,23 @@ class TestConstruction:
         assert (m.rows, m.cols) == (math.comb(8, 3), math.comb(8, 4)) == (56, 70)
 
     def test_domain_errors(self):
-        for bad in [(0, 1), (1, 0), (-1, 2), (0, 3)]:
+        for bad in [(0, 1), (1, 0), (-1, 2)]:
             with pytest.raises(ValueError):
                 fractal_matrix(*bad)
             with pytest.raises(ValueError):
                 fractal_matrix_blockwise(*bad)
-        # the size limit MAX_DIMENSION is checked before anything is built
-        for bad in [(40, 40), (30, 30)]:
-            with pytest.raises(ValueError, match="past the limit"):
-                fractal_matrix(*bad)
-            with pytest.raises(ValueError, match="past the limit"):
-                fractal_matrix_blockwise(*bad)
+
+    def test_params_value(self):
+        # (k, ell) is a plain pair; both builders check it before building
+        fractal._check_params(4, 3)
+        for build in (fractal_matrix, fractal_matrix_blockwise):
+            with pytest.raises(ValueError):
+                build(0, 3)
+            # the size limit MAX_DIMENSION is checked before anything is built
+            for k, ell in [(40, 40), (30, 30)]:
+                with pytest.raises(ValueError, match="past the limit"):
+                    build(k, ell)
+        fractal._check_params(9, 8)
 
 
 class TestStructuralLaws:
