@@ -393,11 +393,10 @@ def _to_matrixmarket(m: BinaryMatrix) -> str:
 
 def _from_matrixmarket(text: str) -> BinaryMatrix:
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
-        raise ParseError(1, "missing MatrixMarket header")
-    header = lines[0].lower().split()
-    if "coordinate" not in header:
-        raise ParseError(1, "only coordinate format is supported")
+    # only the header serialize writes: a symmetric or skew file stores one
+    # entry of each mirrored pair, a pattern or real file other entry fields
+    if not lines or lines[0].lower().split() != MATRIXMARKET_HEADER.lower().split():
+        raise ParseError(1, f"expected the header {MATRIXMARKET_HEADER!r}")
     idx = 1
     while idx < len(lines) and (not lines[idx].strip() or lines[idx].lstrip().startswith("%")):
         idx += 1

@@ -12,7 +12,8 @@ verify     run an invariant suite and report pass/fail as JSON
 All file outputs are written atomically (temp file plus rename).  Matrix and
 report artifacts are byte-for-byte deterministic; only the points summary
 carries an elapsed-time field.  ``--budget`` on ``points`` bounds the
-enumeration work (default ``DEFAULT_BUDGET``).  A failed internal
+enumeration work (default ``DEFAULT_BUDGET``; below 1 it is a usage error,
+exit 2, raised by the routes themselves).  A failed internal
 check inside ``verify`` is a failed report entry; elsewhere it ends the
 command with exit 1.
 """
@@ -64,17 +65,6 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _budget(text: str) -> int:
-    """A positive integer budget, as given to --budget."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
 
 
 def _cmd_fractal(args: argparse.Namespace) -> int:
@@ -270,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     points.add_argument("--q", type=int, required=True, help="prime field size")
     points.add_argument("--oracle", action="store_true",
                         help="cross-check against the isotropic subspace search")
-    points.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+    points.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help=f"enumeration budget (default {DEFAULT_BUDGET})")
     points.add_argument("--out", default=None, help="points file (default stdout)")
     points.add_argument("--summary-out", default=None,

@@ -64,8 +64,9 @@ class FieldMatrix:
     """An immutable matrix of residues over a prime field, stored row-sparse.
 
     ``nonzeros[i]`` holds row i as ``(column, residue)`` pairs, columns
-    strictly ascending inside ``[0, ncols)`` and residues in ``[1, p)``.  The
-    constructor checks every row, with the row check ``BinaryMatrix`` uses.
+    strictly ascending inside ``[0, ncols)`` and residues ``int``s in
+    ``[1, p)``; a numpy integer would reach ``pow`` in ``rref`` and fail there.
+    The constructor checks every row, with the row check ``BinaryMatrix`` uses.
     """
 
     field: PrimeField
@@ -77,9 +78,9 @@ class FieldMatrix:
             raise ValueError(f"expected a tuple of rows and ncols >= 0, got {self.ncols}")
         p = self.field.p
         for i, row in enumerate(self.nonzeros):
-            if type(row) is not tuple or not all(0 < v < p for _, v in row):
+            if type(row) is not tuple or not all(type(v) is int and 0 < v < p for _, v in row):
                 raise ValueError(f"row {i} is not a tuple of (column, residue) pairs "
-                                 f"with residues in [1, {p})")
+                                 f"with int residues in [1, {p})")
         check_rows((tuple(j for j, _ in row) for row in self.nonzeros), self.ncols)
 
     @property

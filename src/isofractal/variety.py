@@ -52,6 +52,14 @@ MAX_HELD_COORDINATES = 1 << 25
 _RELATION_BATCH = 64  # relations per pullback matmul
 
 
+def _shown(value: int) -> str:
+    """``value`` for a message, or past 64 bits the power of two below it.
+
+    q**d or C(2n, k) can run to thousands of digits, past the int-to-str limit.
+    """
+    return str(value) if value.bit_length() <= 64 else f"2**{value.bit_length() - 1}"
+
+
 class BudgetExceededError(ValueError):
     """Work or held points would pass a limit; carries a lower bound on the need.
 
@@ -61,10 +69,8 @@ class BudgetExceededError(ValueError):
 
     def __init__(self, required: int, budget: int, what: str,
                  limit: str = "configured budget"):
-        # q**d can run to thousands of digits, past the int-to-str limit; past
-        # 64 bits the message names the power of two below it, still a bound
-        shown = required if required.bit_length() <= 64 else f"2**{required.bit_length() - 1}"
-        super().__init__(f"{what} needs a budget of at least {shown}, {limit} is {budget}")
+        super().__init__(f"{what} needs a budget of at least {_shown(required)}, "
+                         f"{limit} is {budget}")
         self.required = required
         self.budget = budget
 
@@ -167,31 +173,23 @@ def _pullback_forms(relations: list[tuple[IndexTuple, IndexTuple]], basis: np.nd
     return forms % q
 
 
-def _refuse_kernel_search(d: int, q: int, budget: int, what: str) -> None:
-    """Refuse a search over a kernel of dimension d or more: int64 limit first, then budget.
-
-    q**d > budget whenever d exceeds the budget's bit length, so the
-    comparison never forms q**d for a larger d.
-    """
-    if d * d * (q - 1) ** 3 >= 2**63:
-        raise ValueError(f"q={q} with kernel dimension d >= {d} overflows int64: "
-                         "need d*d*(q-1)**3 < 2**63")
-    if d > budget.bit_length() or q**d > budget:
-        raise BudgetExceededError(required=q**d, budget=budget, what=what)
-
-
 def _refuse_held_points(n: int, k: int, q: int) -> None:
     """Refuse an instance whose point set alone would pass MAX_HELD_COORDINATES.
 
-    Both routes return every point as a tuple of C(2n, k) coordinates, and the
-    closed form gives the point count before any work is done.
+    Both routes return every point as a tuple of C(2n, k) coordinates, and
+    every instance has a point, so C(2n, k) alone is a lower bound on the
+    coordinates held: past the limit the instance is refused at once.  Else
+    the closed form gives the point count, before any work is done.  q is
+    checked to be prime first, so a composite q is a ``ValueError`` either way.
     """
-    held = expected_count(n, k, q) * math.comb(2 * n, k)
+    PrimeField(q)
+    columns = math.comb(2 * n, k)
+    held = columns if columns > MAX_HELD_COORDINATES else expected_count(n, k, q) * columns
     if held > MAX_HELD_COORDINATES:
         raise BudgetExceededError(
             required=held, budget=MAX_HELD_COORDINATES,
             what=(f"holding the points of (n={n}, k={k}, q={q}), "
-                  f"{math.comb(2 * n, k)} coordinates each,"),
+                  f"{_shown(columns)} coordinates each,"),
             limit="the held-coordinate limit MAX_HELD_COORDINATES")
 
 
@@ -246,16 +244,17 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
     the points come out normalized and distinct; the collector checks both
     facts per lead, and either failing raises ``ArithmeticError``.
 
-    Raises ``ValueError`` for a budget below 1, and unless d*d*(q - 1)**3 <
-    2**63, since the largest int64 intermediate, g on the frontier, sums at
-    most d*d products below q**3 (h is reduced mod q before it meets v); then
-    :class:`BudgetExceededError` when q**d exceeds the budget.  The d >= 1
-    case, (q - 1)**3 < 2**63, is checked before the field is built, so a huge
-    q is refused without testing its primality.  Both refusals are first made
-    for d >= C(2n, k) - C(2n, k - 2), the column count less the row count of
-    the system, before the system is built, and then for the exact d.  Between
-    the two, a point set that would pass ``MAX_HELD_COORDINATES`` coordinates
-    is refused with :class:`BudgetExceededError`.
+    Refusals come in the oracle's order.  First the usage checks:
+    ``ValueError`` for a budget below 1, and unless (q - 1)**3 < 2**63, the
+    int64 limit below for d = 1, so a huge q is refused without testing its
+    primality.  Then, before any work, a point set that would pass
+    ``MAX_HELD_COORDINATES`` coordinates is refused with
+    :class:`BudgetExceededError` (a composite q is a ``ValueError`` there).
+    Last, once the system is built and d is known: ``ValueError`` unless
+    d*d*(q - 1)**3 < 2**63, since the largest int64 intermediate, g on the
+    frontier, sums at most d*d products below q**3 (h is reduced mod q before
+    it meets v); then :class:`BudgetExceededError` when q**d exceeds the
+    budget.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
@@ -264,15 +263,18 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
     if (q - 1) ** 3 >= 2**63:
         raise ValueError(f"q={q} overflows int64: need d*d*(q-1)**3 < 2**63 "
                          "for a kernel of dimension d >= 1")
-    field = PrimeField(q)
-    what = f"kernel enumeration for (n={n}, k={k}, q={q})"
-    _refuse_kernel_search(math.comb(2 * n, k) - math.comb(2 * n, k - 2), q, budget, what)
     _refuse_held_points(n, k, q)
+    field = PrimeField(q)
     pm = plucker_matrix(n, k, signed=True)
     kernel = kernel_basis(pm.field_matrix(field))
-    d = len(kernel)
-    _refuse_kernel_search(d, q, budget, what)
     # d >= 1: C(2n, k) > C(2n, k - 2)
+    d = len(kernel)
+    if d * d * (q - 1) ** 3 >= 2**63:
+        raise ValueError(f"q={q} with kernel dimension d={d} overflows int64: "
+                         "need d*d*(q-1)**3 < 2**63")
+    if q**d > budget:
+        raise BudgetExceededError(required=q**d, budget=budget,
+                                  what=f"kernel enumeration for (n={n}, k={k}, q={q})")
     basis, pivots = _echelon(kernel, field)
     forms = _pullback_forms(quadratic_relations(n, k), basis, n, k, q)
     first, second = _monomials(d)

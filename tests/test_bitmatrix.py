@@ -631,6 +631,19 @@ class TestParseErrors:
             text = MM_HEADER + f"2 2 1\n{entry} 1\n"
             assert parse_error(text, "matrixmarket") == f"line 3: coordinate {coord} outside 2x2"
 
+    def test_matrixmarket_header_other_than_the_written_one(self):
+        # a symmetric file stores one entry of each mirrored pair, so reading
+        # it as general would drop (1, 2) and give ((), (0,))
+        body = "2 2 1\n2 1 1\n"
+        for header in ("%%MatrixMarket matrix coordinate integer symmetric",
+                       "%%MatrixMarket matrix coordinate pattern general",
+                       "%%MatrixMarket matrix array integer general",
+                       "%%MatrixMarket matrix coordinate integer general extra"):
+            assert parse_error(f"{header}\n{body}", "matrixmarket") == (
+                "line 1: expected the header "
+                "'%%MatrixMarket matrix coordinate integer general'")
+        assert deserialize(MM_HEADER.upper() + body, "matrixmarket").row_adj == ((), (0,))
+
     def test_matrixmarket_negative_size(self):
         text = MM_HEADER + "-1 2 0\n"
         assert parse_error(text, "matrixmarket") == "line 2: negative dimensions -1x2"

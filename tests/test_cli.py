@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -206,12 +207,20 @@ class TestPointsCommand:
         err = capsys.readouterr().err
         assert "refused" in err and "1089435600" in err and "33554432" in err
 
+    @pytest.mark.parametrize("n,k,q", [(5000, 2, 3), (8000, 8000, 2)])
+    def test_held_points_refused_at_once(self, n, k, q, capsys):
+        started = time.perf_counter()
+        assert main(["points", "--n", str(n), "--k", str(k), "--q", str(q)]) == 1
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("refused: ") and "held-coordinate limit" in err
+        assert len(err) < 300
+
     @pytest.mark.parametrize("command", [["points", "--n", "2", "--k", "2", "--q", "2"]])
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_non_positive_budget_is_usage_error(self, command, budget, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(command + ["--budget", budget])
-        assert err.value.code == 2
+        # the routes reject it, before any work
+        assert main(command + ["--budget", budget]) == 2
         assert "must be a positive integer" in capsys.readouterr().err
 
     def test_int64_limit_is_usage_error(self, capsys):

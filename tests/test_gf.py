@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -267,9 +268,55 @@ class TestSparseStorage:
         with pytest.raises(ValueError):
             FieldMatrix(f, [((0, 1),)], 3)
 
+    def test_numpy_residue_rejected(self):
+        # in range, but rref's pow(v, -1, p) would raise TypeError on it
+        with pytest.raises(ValueError, match="int residues"):
+            FieldMatrix(PrimeField(7), (((0, np.int64(3)),),), 1)
+
+
+def wilson_rank(t, k, v, p):
+    """rank over GF(p) of the t-subsets vs k-subsets inclusion matrix of a v-set.
+
+    For t <= min(k, v - k), the sum of C(v, i) - C(v, i - 1) over 0 <= i <= t
+    with p not dividing C(k - i, t - i): R. M. Wilson, "A diagonal form for the
+    incidence matrices of t-subsets vs. k-subsets", European J. Combin. 11
+    (1990) 609-615.
+    """
+    return sum(math.comb(v, i) - (math.comb(v, i - 1) if i else 0)
+               for i in range(t + 1) if math.comb(k - i, t - i) % p)
+
+
+def wilson_kernel_dimension(n, k, p):
+    """dim of the signed system's kernel over GF(p), from the block census and Wilson's rank.
+
+    The C(n, k) * 2**k pair-free columns are zero columns.  Each of the
+    C(n, k - 2j) * 2**(k - 2j) blocks A(a, j), a = n - k + j + 1, is a sign
+    switching of the inclusion matrix of (j-1)-subsets vs j-subsets of an
+    (a + j - 1)-set, so it adds its columns less that matrix's rank.
+    """
+    d = math.comb(n, k) * 2**k
+    for j in range(1, k // 2 + 1):
+        a = n - k + j + 1
+        nullity = math.comb(a + j - 1, j) - wilson_rank(j - 1, j, a + j - 1, p)
+        d += math.comb(n, k - 2 * j) * 2 ** (k - 2 * j) * nullity
+    return d
+
 
 class TestKernelDimensions:
     """Dimensions of the signed system's kernel at sizes beyond whole-matrix elimination."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_wilson_closed_form(self, p):
+        for n in range(2, 7):
+            for k in range(2, n + 1):
+                basis = kernel_basis(plucker_matrix(n, k, signed=True).field_matrix(PrimeField(p)))
+                assert len(basis) == wilson_kernel_dimension(n, k, p), (n, k)
+
+    def test_wilson_closed_form_pins(self):
+        assert [wilson_kernel_dimension(7, 7, p) for p in (2, 3, 5)] == [1780, 1444, 1430]
+        assert wilson_kernel_dimension(7, 6, 3) == 2003
+        # past every p > k // 2 the blocks have full row rank: d = C(2n, k) - C(2n, k - 2)
+        assert wilson_kernel_dimension(7, 7, 11) == math.comb(14, 7) - math.comb(14, 5) == 1430
 
     def test_six_six(self):
         pm = plucker_matrix(6, 6, signed=True)

@@ -139,6 +139,42 @@ class TestExpectedCount:
         assert subspace_count(6, 3, 3) == 33880
 
 
+def schubert_cells(n, k):
+    """For each isotropic pivot set, the free cells of each echelon row under the oracle's rule.
+
+    Row i, pivoting at p_i, is free at every cell past p_i except the later
+    pivots and the partner cells 2n-1-p_j, past p_i, of the earlier pivots,
+    which the pairing with row j solves.  The count does not depend on the
+    rows above, so the cell of pivot set P holds q**e(P) subspaces, e(P) the
+    sum over its rows (the Bruhat cells of the isotropic Grassmannian).
+    """
+    m = 2 * n
+    for pivots in combinations(range(m), k):
+        if any(m - 1 - p in pivots for p in pivots):
+            continue
+        yield [m - 1 - p - (k - 1 - i) - sum(1 for c in pivots[:i] if m - 1 - c > p)
+               for i, p in enumerate(pivots)]
+
+
+class TestSchubertCells:
+    def test_cell_sizes_sum_to_the_closed_form(self):
+        for n in range(2, 13):
+            for k in range(2, n + 1):
+                if math.comb(2 * n, k) > 5000:
+                    break
+                sizes = [sum(free) for free in schubert_cells(n, k)]
+                for q in (2, 3, 5):
+                    assert sum(q**e for e in sizes) == expected_count(n, k, q), (n, k, q)
+
+    @pytest.mark.parametrize("n,k,q,examined", [(2, 2, 2, 26), (2, 2, 5, 212),
+                                                (3, 3, 2, 281), (4, 3, 2, 16_005)])
+    def test_node_sum_is_the_oracle_count(self, n, k, q, examined):
+        # a level builds q**free children of every partial basis above it
+        nodes = sum(sum(q ** sum(free[: i + 1]) for i in range(k))
+                    for free in schubert_cells(n, k))
+        assert nodes == examined
+
+
 class TestRationalPoints:
     def test_two_two_two(self):
         result = rational_points(2, 2, 2)
@@ -252,11 +288,13 @@ class TestRationalPoints:
             raise AssertionError("the system was built")
 
         monkeypatch.setattr(variety, "plucker_matrix", unbuildable)
-        # d >= C(18, 9) - C(18, 7) = 16796
+        # the held-points check comes first: 83,724,041,661,975 points of
+        # C(18, 9) = 48,620 coordinates each
         with pytest.raises(BudgetExceededError) as err:
             rational_points(9, 9, 2)
-        assert err.value.required == 2**16796
-        assert "at least 2**16796" in str(err.value)
+        assert err.value.required == 83_724_041_661_975 * 48_620
+        assert err.value.budget == MAX_HELD_COORDINATES
+        assert "the held-coordinate limit" in str(err.value)
 
     @pytest.mark.parametrize("route", [rational_points, oracle_points])
     @pytest.mark.parametrize("budget", [0, -1])
@@ -489,6 +527,27 @@ class TestHeldPointsRefusal:
     def test_largest_reached_instances_are_accepted(self, n, k, q, held):
         assert expected_count(n, k, q) * math.comb(2 * n, k) == held <= MAX_HELD_COORDINATES
         variety._refuse_held_points(n, k, q)
+
+    @pytest.mark.parametrize("route,n,k,q", [(rational_points, 5000, 2, 3),
+                                             (rational_points, 8000, 8000, 2),
+                                             (oracle_points, 2000, 2000, 2)])
+    def test_refused_at_once_on_the_coordinates_alone(self, route, n, k, q):
+        # C(2n, k) already passes the limit: no closed form, no q**d, and no
+        # integer past 64 bits written out in the message
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as err:
+            route(n, k, q)
+        assert time.perf_counter() - started < 1.0
+        assert err.value.required == math.comb(2 * n, k)
+        assert "the held-coordinate limit" in str(err.value)
+        assert len(str(err.value)) < 300
+
+    @pytest.mark.parametrize("route", [rational_points, oracle_points])
+    def test_composite_q_is_an_error_before_the_limit(self, route):
+        # C(10000, 2) passes the limit, but q is checked first: a usage error
+        with pytest.raises(ValueError, match="not prime") as err:
+            route(5000, 2, 4)
+        assert not isinstance(err.value, BudgetExceededError)
 
     @pytest.mark.parametrize("route,budget", [(oracle_points, DEFAULT_BUDGET),
                                               (rational_points, 3**50)])
