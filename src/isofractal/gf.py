@@ -8,8 +8,12 @@ Matrices are stored row-sparse: each row is its nonzero ``(column, residue)``
 pairs in ascending column order, so the contraction system, whose rows hold
 at most n entries, is built and eliminated in memory proportional to its
 nonzeros.  Sparse rows are the only form a matrix is built from.
-``kernel_basis`` alone returns a dense result: one int64 numpy array with a
-row per basis vector, filled by a single scatter from the reduced rows.
+``kernel_basis`` alone returns a dense result: one numpy array with a row per
+basis vector, filled by a single scatter from the reduced rows.  Its dtype is
+``np.min_scalar_type(p - 1)``, the smallest unsigned integer type that holds
+every residue: uint8 for every p <= 256.  Widen the array (``astype`` or
+``tolist``) before doing arithmetic on it: under NumPy's promotion rules a
+Python int times a uint8 array stays uint8 and wraps.
 
 Elimination works component by component.  ``bitmatrix.row_components``, the
 union-find that also splits the contraction system's support into blocks,
@@ -139,16 +143,22 @@ def sparse_entries(rows: tuple[SparseRow, ...]) -> tuple[np.ndarray, np.ndarray,
 def kernel_basis(m: FieldMatrix) -> np.ndarray:
     """A deterministic basis of the right nullspace, one row per free column.
 
-    Returns an int64 array of shape ``(d, m.ncols)``, d the nullity, entries
-    residues in ``[0, p)``.  Free columns are taken in ascending order; row i
-    has a 1 at the i-th free column and back-substituted pivot entries
-    elsewhere.  A reduced pivot row is nonzero only inside its own component,
-    so a free column takes entries from its component's pivots alone, and a
-    zero column gives a unit vector.  The array is filled by one scatter from
-    the reduced rows, so no Python object is made per coordinate.
+    Returns an array of shape ``(d, m.ncols)``, d the nullity, entries
+    residues in ``[0, p)``, of dtype ``np.min_scalar_type(p - 1)``: uint8 up
+    to p = 256, then uint16, uint32 and uint64.  Nearly every cell is zero,
+    so the itemsize sets the memory.  Arithmetic on the array must widen it
+    first: a Python int times a uint8 array stays uint8 and wraps.
+
+    Free columns are taken in ascending order; row i has a 1 at the i-th free
+    column and back-substituted pivot entries elsewhere.  A reduced pivot row
+    is nonzero only inside its own component, so a free column takes entries
+    from its component's pivots alone, and a zero column gives a unit vector.
+    The array is filled by one scatter from the reduced rows, so no Python
+    object is made per coordinate.
 
     Raises ``ValueError``, before elimination, unless p - 1 < 2**63, the
-    largest residue an int64 entry holds.
+    largest residue the int64 arrays of ``sparse_entries`` hold; so the dtype
+    is at most uint64, never ``object``.
     """
     p = m.field.p
     if p - 1 >= 2**63:
@@ -166,7 +176,7 @@ def kernel_basis(m: FieldMatrix) -> np.ndarray:
     owner = np.concatenate([free, cols[back]])
     place = np.concatenate([free, pivot_of[back]])
     entries = np.concatenate([np.ones(len(free), dtype=np.int64), p - values[back]])
-    basis = np.zeros((len(free), m.ncols), dtype=np.int64)
+    basis = np.zeros((len(free), m.ncols), dtype=np.min_scalar_type(p - 1))
     basis[(np.cumsum(is_free) - 1)[owner], place] = entries
     return basis
 

@@ -91,8 +91,10 @@ class PluckerMatrix:
         """Sparse matrix-vector product over GF(p), as a tuple of Python ints.
 
         ``w`` is any sequence of integers, one per column: a list, a tuple or
-        a row of the int64 array ``kernel_basis`` returns.  Its entries are
-        read as Python ints, so the sums are exact for any p.
+        a row of the array ``kernel_basis`` returns, whose dtype is
+        ``np.min_scalar_type(p - 1)`` (uint8 up to p = 256).  Its entries are
+        read as Python ints before any arithmetic, so the sums are exact for
+        any p and never wrap in the narrow dtype.
         """
         if len(w) != len(self.col_labels):
             raise ValueError(f"vector length {len(w)} != {len(self.col_labels)} columns")

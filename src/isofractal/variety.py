@@ -45,9 +45,12 @@ from .gf import FieldMatrix, FieldVector, PrimeField, kernel_basis, rref, sparse
 from .plucker import plucker_matrix
 
 DEFAULT_BUDGET = 1 << 25
-# Both routes return each point as a tuple of C(2n, k) coordinates in a set,
-# about 11.4 traced bytes per coordinate at (4, 2, 3), so this keeps a point
-# set near 380 MB; (5, 5, 2) holds 19.1M coordinates, (5, 2, 3) would hold 1.09G.
+# Both routes return each point as a tuple of C(2n, k) coordinates in a set.
+# Until points are held as arrays, the limit bounds coordinates, not bytes:
+# the cost per coordinate grows as points get shorter.  oracle_points(2, 2,
+# 173) is admitted with 31.2M coordinates in points of 6 and peaks at
+# 1,233 MB VmHWM, 41 bytes per coordinate.  (5, 5, 2) holds 19.1M
+# coordinates, (5, 2, 3) would hold 1.09G.
 MAX_HELD_COORDINATES = 1 << 25
 _RELATION_BATCH = 64  # relations per pullback matmul
 
@@ -214,7 +217,11 @@ def _collect(cells: Iterator[tuple[int, np.ndarray]], what: str) -> frozenset[Fi
 
 
 def _echelon(a: np.ndarray, field: PrimeField) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The nonzero rows of the reduced echelon form of a 2-d array, dense, and their pivots."""
+    """The nonzero rows of the reduced echelon form of a 2-d array, dense, and their pivots.
+
+    The entries are read as Python ints and the result is int64, so a narrow
+    ``kernel_basis`` array is widened before any arithmetic.
+    """
     rows, cols = np.nonzero(a)
     pairs = list(zip(cols.tolist(), a[rows, cols].tolist()))
     ends = np.cumsum(np.count_nonzero(a, axis=1)).tolist()

@@ -211,7 +211,8 @@ class TestBlockwiseElimination:
         assert_rref_is_naive(m, rows)
         basis = kernel_basis(m)
         expected = naive_kernel(f, rows, ncols)
-        assert basis.dtype == np.int64 and basis.shape == (len(expected), ncols)
+        assert basis.dtype == np.min_scalar_type(f.p - 1)
+        assert basis.shape == (len(expected), ncols)
         assert [tuple(v) for v in basis.tolist()] == expected
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -300,6 +301,19 @@ def wilson_kernel_dimension(n, k, p):
         nullity = math.comb(a + j - 1, j) - wilson_rank(j - 1, j, a + j - 1, p)
         d += math.comb(n, k - 2 * j) * 2 ** (k - 2 * j) * nullity
     return d
+
+
+class TestBlockRanks:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_wilson_rank_of_each_member(self, p):
+        # A(a, j) is W_(j-1, j)(a + j - 1); Wilson's form needs j - 1 <= a - 1
+        f = PrimeField(p)
+        for a in range(1, 9):
+            for j in range(1, min(a, 5) + 1):
+                block = fractal_matrix(a, j)
+                ones = tuple(tuple((c, 1) for c in row) for row in block.row_adj)
+                pivots, _ = rref(FieldMatrix(f, ones, block.cols))
+                assert len(pivots) == wilson_rank(j - 1, j, a + j - 1, p), (a, j)
 
 
 class TestKernelDimensions:
@@ -399,8 +413,22 @@ class TestKernelBasis:
     def test_array_equals_reference_tuples(self, n, k, p):
         m = plucker_matrix(n, k, signed=True).field_matrix(PrimeField(p))
         basis = kernel_basis(m)
-        assert basis.dtype == np.int64 and basis.shape[1] == m.ncols
+        assert basis.dtype == np.min_scalar_type(p - 1) and basis.shape[1] == m.ncols
         assert [tuple(v) for v in basis.tolist()] == reference_kernel(m)
+
+    @pytest.mark.parametrize("p,dtype", [(2, np.uint8), (251, np.uint8), (257, np.uint16),
+                                         (65537, np.uint32), (2**63 - 25, np.uint64)])
+    def test_smallest_unsigned_dtype(self, p, dtype):
+        f = PrimeField(2)
+        # 2**63 - 25 is the largest prime below 2**63; trial division would take minutes
+        object.__setattr__(f, "p", p)
+        rows, ncols = random_block_sum(random.Random(p), p)
+        # the leading row puts p - 1, the largest residue, into the basis
+        m = dense_matrix(f, [[1, 1] + [0] * ncols] + [[0, 0] + row for row in rows], ncols + 2)
+        basis = kernel_basis(m)
+        assert basis.dtype == dtype == np.min_scalar_type(p - 1)
+        assert [tuple(v) for v in basis.tolist()] == reference_kernel(m)
+        assert basis[0, 0] == p - 1
 
     def test_int64_limit(self):
         # an unchecked field: 2**63 + 1 is not prime, and no trial division runs

@@ -52,3 +52,11 @@ def test_point_census_reports_a_refused_route():
                                "at least 2**66, configured budget is ")
     assert "; oracle 91840 of " in lines[0]
     assert "sets" not in lines[0]
+
+
+def test_point_census_lists_the_admitted_instances():
+    lines = run_script("point_census.py", "--admitted")
+    assert len(lines) == 55
+    assert lines[:2] == ["2,2,2", "2,2,3"]
+    assert sum(line.startswith("2,2,") for line in lines) == 40
+    assert lines[-1] == "5,5,2"

@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -156,6 +157,27 @@ def schubert_cells(n, k):
                for i, p in enumerate(pivots)]
 
 
+def poly_mul(a, b):
+    """The product of two integer polynomials, coefficients lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_div_exact(a, b):
+    """a / b for a divisor b with leading coefficient 1; the remainder must be zero."""
+    a = list(a)
+    quotient = [0] * (len(a) - len(b) + 1)
+    for i in range(len(quotient) - 1, -1, -1):
+        quotient[i] = c = a[i + len(b) - 1]
+        for j, y in enumerate(b):
+            a[i + j] -= c * y
+    assert not any(a)
+    return quotient
+
+
 class TestSchubertCells:
     def test_cell_sizes_sum_to_the_closed_form(self):
         for n in range(2, 13):
@@ -165,6 +187,18 @@ class TestSchubertCells:
                 sizes = [sum(free) for free in schubert_cells(n, k)]
                 for q in (2, 3, 5):
                     assert sum(q**e for e in sizes) == expected_count(n, k, q), (n, k, q)
+
+    def test_cell_polynomial_is_the_product_formula(self):
+        # sum_P t**e(P) = prod_(i<k) (t**(2n-2i) - 1) / (t**(i+1) - 1), coefficient by coefficient
+        for n in range(2, 11):
+            for k in range(2, n + 1):
+                cells = Counter(sum(free) for free in schubert_cells(n, k))
+                product = [1]
+                for i in range(k):
+                    product = poly_mul(product, [-1] + [0] * (2 * n - 2 * i - 1) + [1])
+                for i in range(k):
+                    product = poly_div_exact(product, [-1] + [0] * i + [1])
+                assert dict(cells) == {e: c for e, c in enumerate(product) if c}, (n, k)
 
     @pytest.mark.parametrize("n,k,q,examined", [(2, 2, 2, 26), (2, 2, 5, 212),
                                                 (3, 3, 2, 281), (4, 3, 2, 16_005)])
