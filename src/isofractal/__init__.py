@@ -7,11 +7,8 @@ from .bitmatrix import (
     PermutationPair,
     bipartite_components,
     deserialize,
-    direct_sum,
-    paste_right,
     permutation_equivalent,
     serialize,
-    stack_identity_below,
 )
 from .combinat import (
     IndexTuple,

@@ -1,9 +1,9 @@
-"""Sparse (0,1)-matrices and the assembly operations used throughout the package.
+"""Sparse (0,1)-matrices: the value type shared throughout the package.
 
 A :class:`BinaryMatrix` is an immutable list of rows with explicit dimensions:
 row r is the ascending tuple of the columns holding a one in row r.  The
-matrices handled here are very sparse (a few ones per row) and every one of
-them is assembled row block by row block, so the row-sparse form is both the
+matrices handled here are very sparse (a few ones per row) and every builder
+writes its rows directly, block by block, so the row-sparse form is both the
 natural build target and the order every text form is written in; the column
 adjacency is derived once on first use, and dense rows are materialized only
 for the ascii text form.
@@ -12,10 +12,8 @@ Besides the value type this module provides:
 
 * ``check_rows`` and ``MAX_DIMENSION``: the row check and the size limit that
   ``gf.FieldMatrix`` and the matrix builders share,
-* ``stack_identity_below`` and ``paste_right``: the two paste operations the
-  recursive matrix family is assembled from,
-* ``direct_sum`` and ``bipartite_components``: block-diagonal assembly and its
-  inverse (connected components of the row/column incidence graph),
+* ``bipartite_components``: the connected components of the row/column
+  incidence graph, the blocks of a block-diagonal matrix,
 * ``row_components``: the union-find behind ``bipartite_components``, over
   each row's column indices, which ``gf.rref`` shares,
 * ``permutation_equivalent``: an exact search for row/column permutations
@@ -185,50 +183,6 @@ class PermutationPair:
         for r, row in zip(self.row_perm, m.row_adj):
             adj[r] = tuple(sorted(map(col_of, row)))
         return BinaryMatrix(m.rows, m.cols, tuple(adj))
-
-
-def stack_identity_below(m: BinaryMatrix) -> BinaryMatrix:
-    """Paste the cols x cols identity under ``m``."""
-    if m.cols < 1:
-        raise ValueError("cannot stack an identity under a zero-column matrix")
-    return BinaryMatrix(m.rows + m.cols, m.cols, m.row_adj + tuple((j,) for j in range(m.cols)))
-
-
-def paste_right(parts: Sequence[BinaryMatrix]) -> BinaryMatrix:
-    """Concatenate matrices side by side, aligning every part at the bottom row.
-
-    The first part must be the tallest and heights must be non-increasing;
-    positions above a shorter part are zero.  Parts are appended left to
-    right, so every row stays in ascending column order.
-    """
-    if not parts:
-        raise ValueError("paste_right needs at least one part")
-    heights = [p.rows for p in parts]
-    for i in range(1, len(heights)):
-        if heights[i] > heights[i - 1]:
-            raise ValueError(
-                f"part {i} is taller than part {i - 1} ({heights[i]} > {heights[i - 1]})"
-            )
-    total_rows = heights[0]
-    adj: list[list[int]] = [[] for _ in range(total_rows)]
-    offset = 0
-    for p in parts:
-        shift = offset.__add__
-        for r, row in enumerate(p.row_adj, total_rows - p.rows):
-            adj[r].extend(map(shift, row))
-        offset += p.cols
-    return BinaryMatrix(total_rows, offset, tuple(map(tuple, adj)))
-
-
-def direct_sum(parts: Sequence[BinaryMatrix]) -> BinaryMatrix:
-    """Block-diagonal assembly; the empty sum is the 0x0 matrix."""
-    col_off = 0
-    adj: list[Row] = []
-    for p in parts:
-        shift = col_off.__add__
-        adj.extend(tuple(map(shift, row)) for row in p.row_adj)
-        col_off += p.cols
-    return BinaryMatrix(len(adj), col_off, tuple(adj))
 
 
 def row_components(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
@@ -512,6 +466,11 @@ def _from_alist(text: str) -> BinaryMatrix:
     total = sum(col_weights)
     if total != sum(map(len, adj)) or total != sum(row_weights):
         raise ParseError(4, "row and column weight totals disagree")
+    # checked last, so that every other fault keeps the line it is reported at
+    maxima = [max(col_weights, default=0), max(row_weights, default=0)]
+    if _ints(lines[1], 2) != maxima:
+        raise ParseError(2, "expected the largest column and row weights, "
+                            f"'{maxima[0]} {maxima[1]}'")
     return BinaryMatrix(rows, cols, tuple(adj))
 
 

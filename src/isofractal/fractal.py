@@ -6,8 +6,9 @@ plain pair (k, ell), which each builder checks against k, ell >= 1 and the
 size limit ``MAX_DIMENSION``.  It is built here by two independent routes
 that must agree bit for bit:
 
-* the paste route: A(k, 1) is the 1 x k all-ones row, and A(k, ell) pastes
-  the identity-stacked A(j, ell-1) for j = k down to 1 side by side,
+* the paste route: A(k, 1) is the 1 x k all-ones row, and A(k, ell) sets
+  A(j, ell-1) with the identity under it side by side for j = k down to 1,
+  each part aligned at the bottom row, writing the rows of the result directly,
 * the block route: the 2x2 recursion with A(k, ell-1) on top, an identity
   block bottom-left, and A(k-1, ell) bottom-right.
 
@@ -24,7 +25,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .bitmatrix import MAX_DIMENSION, BinaryMatrix, paste_right, stack_identity_below
+from .bitmatrix import MAX_DIMENSION, BinaryMatrix
 
 # Entries kept by each memoized builder: verify --suite all plus the largest
 # emits hold 65 and 36, the whole decompose range 15, in one process.
@@ -46,8 +47,20 @@ def fractal_matrix(k: int, ell: int) -> BinaryMatrix:
     _check_params(k, ell)
     if ell == 1:
         return BinaryMatrix.all_ones(1, k)
-    parts = [stack_identity_below(fractal_matrix(j, ell - 1)) for j in range(k, 0, -1)]
-    return paste_right(parts)
+    # part j has C(j+ell-1, ell-1) rows, so the first part (j = k) is the tallest
+    rows = math.comb(k + ell - 1, ell - 1)
+    adj: list[list[int]] = [[] for _ in range(rows)]
+    offset = 0
+    for j in range(k, 0, -1):
+        part = fractal_matrix(j, ell - 1)
+        top = rows - part.rows - part.cols
+        shift = offset.__add__
+        for r, row in enumerate(part.row_adj, top):
+            adj[r].extend(map(shift, row))
+        for c in range(part.cols):
+            adj[top + part.rows + c].append(offset + c)
+        offset += part.cols
+    return BinaryMatrix(rows, offset, tuple(map(tuple, adj)))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,8 @@ from isofractal.bitmatrix import (
     PermutationPair,
     bipartite_components,
     deserialize,
-    direct_sum,
-    paste_right,
     permutation_equivalent,
     serialize,
-    stack_identity_below,
 )
 from isofractal.fractal import fractal_matrix
 from isofractal.plucker import decompose, plucker_matrix
@@ -38,9 +36,11 @@ def as_set(m):
 
 # --- coordinate-set references -------------------------------------------------
 #
-# The coordinate-set versions of the assembly operations and serializers,
-# kept as independent references for the row-sparse ones.  Each works on
-# (rows, cols, frozenset of coordinates) triples and never reads row_adj.
+# Coordinate-set assembly operations and serializers, kept as independent
+# references: the two paste operations define the paste route of A(k, ell),
+# the direct sum builds block-diagonal test inputs, and the rest are compared
+# with the row-sparse code.  Each works on (rows, cols, frozenset of
+# coordinates) triples and never reads row_adj.
 
 
 def full_scan_submatrix(m, row_indices, col_indices):
@@ -248,73 +248,65 @@ class TestBinaryMatrix:
 
 
 class TestStackIdentityBelow:
+    """Known answers for the reference the paste route is checked against."""
+
     def test_ones_row_of_two(self):
-        assert stack_identity_below(M("11")) == M("11", "10", "01")
+        assert ref_stack_identity_below(as_set(M("11"))) == as_set(M("11", "10", "01"))
 
     def test_ones_row_of_one(self):
-        assert stack_identity_below(M("1")) == M("1", "1")
+        assert ref_stack_identity_below(as_set(M("1"))) == as_set(M("1", "1"))
 
     def test_adds_exactly_cols_ones(self):
-        m = M("110", "011", "101")
-        out = stack_identity_below(m)
-        assert out.rows == 6 and out.cols == 3
-        assert out.weight == m.weight + m.cols
-        assert coords_of(m) <= coords_of(out)
-
-    def test_zero_columns_rejected(self):
-        with pytest.raises(ValueError):
-            stack_identity_below(BinaryMatrix.zero(2, 0))
+        m = as_set(M("110", "011", "101"))
+        rows, cols, ones = ref_stack_identity_below(m)
+        assert (rows, cols, len(ones)) == (6, 3, len(m[2]) + 3)
+        assert m[2] <= ones
 
 
 class TestPasteRight:
+    """Known answers for the reference the paste route is checked against."""
+
     def test_two_stacked_ones_rows(self):
-        parts = [stack_identity_below(M("11")), stack_identity_below(M("1"))]
-        assert paste_right(parts) == M("110", "101", "011")
+        parts = [ref_stack_identity_below(as_set(M(row))) for row in ("11", "1")]
+        assert ref_paste_right(parts) == as_set(M("110", "101", "011"))
 
     def test_single_part_identity(self):
-        m = M("101", "010")
-        assert paste_right([m]) == m
+        m = as_set(M("101", "010"))
+        assert ref_paste_right([m]) == m
 
     def test_three_parts_produce_known_matrix(self):
-        parts = [
-            stack_identity_below(M("111")),
-            stack_identity_below(M("11")),
-            stack_identity_below(M("1")),
-        ]
-        assert paste_right(parts) == M("111000", "100110", "010101", "001011")
+        parts = [ref_stack_identity_below(as_set(M(row))) for row in ("111", "11", "1")]
+        assert ref_paste_right(parts) == as_set(M("111000", "100110", "010101", "001011"))
 
     def test_weight_additive_and_slices_recoverable(self):
         a = M("11", "10")
         b = M("01")
-        out = paste_right([a, b])
+        out = BinaryMatrix.from_coords(*ref_paste_right([as_set(a), as_set(b)]))
         assert out.weight == a.weight + b.weight
         assert out.submatrix(range(out.rows), [0, 1]) == a
         assert out.submatrix([1], [2, 3]) == b
 
-    def test_taller_later_part_rejected(self):
-        with pytest.raises(ValueError):
-            paste_right([M("1"), M("1", "1")])
-
 
 class TestDirectSum:
+    """Known answers for the reference that builds block-diagonal test inputs."""
+
     def test_two_ones_rows(self):
-        assert direct_sum([M("11"), M("11")]) == M("1100", "0011")
+        assert ref_direct_sum([as_set(M("11"))] * 2) == as_set(M("1100", "0011"))
 
     def test_empty_sum(self):
-        out = direct_sum([])
-        assert (out.rows, out.cols, out.weight) == (0, 0, 0)
+        assert ref_direct_sum([]) == (0, 0, frozenset())
 
     def test_ones_additive(self):
-        a = M("110", "101", "011")
-        out = direct_sum([a, a])
-        assert (out.rows, out.cols, out.weight) == (6, 6, 12)
+        rows, cols, ones = ref_direct_sum([as_set(M("110", "101", "011"))] * 2)
+        assert (rows, cols, len(ones)) == (6, 6, 12)
 
 
 class TestBipartiteComponents:
     def test_direct_sum_of_connected_parts(self):
         a = M("11", "10")
         b = M("111")
-        comps, zr, zc = bipartite_components(direct_sum([a, b]))
+        comps, zr, zc = bipartite_components(
+            BinaryMatrix.from_coords(*ref_direct_sum([as_set(a), as_set(b)])))
         assert comps == [((0, 1), (0, 1)), ((2,), (2, 3, 4))]
         assert zr == () and zc == ()
 
@@ -326,7 +318,8 @@ class TestBipartiteComponents:
     def test_roundtrip_through_direct_sum(self):
         m = M("1100", "0110", "0001")
         comps, zr, zc = bipartite_components(m)
-        rebuilt = direct_sum([m.submatrix(r, c) for r, c in comps])
+        rebuilt = BinaryMatrix.from_coords(
+            *ref_direct_sum([as_set(m.submatrix(r, c)) for r, c in comps]))
         witness = permutation_equivalent(rebuilt, m)
         assert witness is not None
 
@@ -442,7 +435,7 @@ def doubled_block_pair(seed):
     rows, cols = rng.randint(2, 4), rng.randint(2, 4)
     coords = {(r, c) for r in range(rows) for c in range(cols) if rng.random() < 0.5}
     block = BinaryMatrix.from_coords(rows, cols, coords | {(0, 0)})
-    a = direct_sum([block, block])
+    a = BinaryMatrix.from_coords(*ref_direct_sum([as_set(block)] * 2))
     rp, cp = list(range(a.rows)), list(range(a.cols))
     rng.shuffle(rp)
     rng.shuffle(cp)
@@ -556,28 +549,19 @@ REFERENCE_CASES = 300
 class TestAgainstCoordinateReferences:
     """The row-sparse operations against the coordinate-set references above."""
 
-    def test_stack_identity_below(self):
-        rng = random.Random(21)
-        for _ in range(REFERENCE_CASES):
-            m = random_matrix(rng)
-            if m.cols == 0:
-                with pytest.raises(ValueError):
-                    stack_identity_below(m)
-            else:
-                assert as_set(stack_identity_below(m)) == ref_stack_identity_below(as_set(m))
+    def test_paste_route(self):
+        # A(k, ell) by its definition: A(k, 1) is the all-ones row, and A(k, ell)
+        # pastes A(j, ell-1) with the identity stacked under it, j = k down to 1
+        @cache
+        def definition(k, ell):
+            if ell == 1:
+                return 1, k, frozenset((0, c) for c in range(k))
+            return ref_paste_right([ref_stack_identity_below(definition(j, ell - 1))
+                                    for j in range(k, 0, -1)])
 
-    def test_paste_right(self):
-        rng = random.Random(22)
-        for _ in range(REFERENCE_CASES):
-            parts = sorted((random_matrix(rng) for _ in range(rng.randrange(1, 5))),
-                           key=lambda p: -p.rows)
-            assert as_set(paste_right(parts)) == ref_paste_right([as_set(p) for p in parts])
-
-    def test_direct_sum(self):
-        rng = random.Random(23)
-        for _ in range(REFERENCE_CASES):
-            parts = [random_matrix(rng) for _ in range(rng.randrange(0, 5))]
-            assert as_set(direct_sum(parts)) == ref_direct_sum([as_set(p) for p in parts])
+        for k in range(1, 7):
+            for ell in range(1, 7):
+                assert as_set(fractal_matrix(k, ell)) == definition(k, ell), (k, ell)
 
     def test_apply(self):
         rng = random.Random(25)
@@ -675,3 +659,13 @@ class TestParseErrors:
         assert parse_error(text, "alist") == "line 5: row index 3 outside [1, 2]"
         text = "2 2\n1 1\n1 1\n1 1\n1\n2\n5\n2\n"
         assert parse_error(text, "alist") == "line 7: column index 5 outside [1, 2]"
+
+    def test_alist_second_line_holds_the_largest_weights(self):
+        # line 2 is the largest column weight, then the largest row weight
+        lines = serialize(fractal_matrix(3, 2), "alist").splitlines()
+        assert lines[1] == "2 3"
+        wrong = "line 2: expected the largest column and row weights, '2 3'"
+        for second, message in [("foo bar baz", "line 2: fields must be integers"),
+                                ("0 0", wrong), ("3 2", wrong), ("2", wrong)]:
+            lines[1] = second
+            assert parse_error("\n".join(lines) + "\n", "alist") == message

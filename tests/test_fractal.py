@@ -115,12 +115,22 @@ class TestStructuralLaws:
         # the paste route with an anti-diagonal under each part: route agreement
         # alone must catch it, as the recursion [A(k, ell-1), 0; I, A(k-1, ell)]
         # holds for the paste route exactly where the routes agree
-        def stack_reversed_identity(m):
-            flipped = tuple((j,) for j in reversed(range(m.cols)))
-            return BinaryMatrix(m.rows + m.cols, m.cols, m.row_adj + flipped)
+        def paste_reversed_identity(k, ell):
+            if ell == 1:
+                return BinaryMatrix.all_ones(1, k)
+            parts = [fractal.fractal_matrix(j, ell - 1) for j in range(k, 0, -1)]
+            rows = parts[0].rows + parts[0].cols
+            coords, offset = set(), 0
+            for part in parts:
+                top = rows - part.rows - part.cols
+                coords.update((top + r, offset + c)
+                              for r, row in enumerate(part.row_adj) for c in row)
+                coords.update((rows - 1 - c, offset + c) for c in range(part.cols))
+                offset += part.cols
+            return BinaryMatrix.from_coords(rows, offset, coords)
 
         routes = (fractal_matrix, fractal_matrix_blockwise)
-        monkeypatch.setattr(fractal, "stack_identity_below", stack_reversed_identity)
+        monkeypatch.setattr(fractal, "fractal_matrix", paste_reversed_identity)
         for route in routes:
             route.cache_clear()
         try:

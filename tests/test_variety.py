@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import random
 import time
@@ -5,6 +6,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,3 +596,29 @@ class TestHeldPointsRefusal:
         assert "at least 1089435600, the held-coordinate limit" in str(err.value)
         assert str(MAX_HELD_COORDINATES) in str(err.value)
         assert time.perf_counter() - started < 1.0
+
+
+def point_census():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "point_census.py"
+    spec = importlib.util.spec_from_file_location("point_census", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the admitted instances the kernel route accepts under DEFAULT_BUDGET
+KERNEL_ACCEPTED = [(2, 2, q) for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)] + [
+    (3, 2, 2), (3, 2, 3), (3, 3, 2), (3, 3, 3)]
+
+
+def test_routes_agree_on_the_admitted_domain():
+    accepted = []
+    for n, k, q in point_census().admitted():
+        try:
+            found = rational_points(n, k, q, budget=DEFAULT_BUDGET)
+        except BudgetExceededError:
+            continue
+        accepted.append((n, k, q))
+        assert oracle_points(n, k, q, budget=DEFAULT_BUDGET).points == found.points, (n, k, q)
+        assert found.count == expected_count(n, k, q), (n, k, q)
+    assert accepted == KERNEL_ACCEPTED
