@@ -52,7 +52,11 @@ def _write_text(path: str | None, text: str) -> None:
             handle.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".isofractal-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".isofractal-")
+    except OSError as exc:
+        # the error would name the temp file, which the user never asked for
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -85,10 +89,12 @@ def _cmd_plucker(args: argparse.Namespace) -> int:
         if args.format != "matrixmarket":
             raise ValueError("--signed output needs --format matrixmarket")
         rows = pm.signed_rows
-        lines = [MATRIXMARKET_HEADER,
-                 f"{len(rows)} {len(pm.col_labels)} {sum(map(len, rows))}"]
-        lines.extend(f"{i} {j + 1} {sign}" for i, row in enumerate(rows, 1) for j, sign in row)
-        _write_text(args.out, "\n".join(lines) + "\n")
+        # one string per row, as bitmatrix writes the unsigned form
+        lines = [f"{MATRIXMARKET_HEADER}\n"
+                 f"{len(rows)} {len(pm.col_labels)} {sum(map(len, rows))}\n"]
+        lines.extend(f"{i} " + f"\n{i} ".join([f"{j + 1} {sign}" for j, sign in row]) + "\n"
+                     for i, row in enumerate(rows, 1) if row)
+        _write_text(args.out, "".join(lines))
     else:
         _write_text(args.out, serialize(pm.support, args.format))
     return 0

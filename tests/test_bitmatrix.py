@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import deque
 from functools import cache
 
@@ -541,6 +542,19 @@ class TestSerialization:
         m = BinaryMatrix.zero(0, 3)
         for fmt in ("matrixmarket", "alist"):
             assert deserialize(serialize(m, fmt), fmt) == m
+
+    def test_matrixmarket_memory_stays_near_the_text(self):
+        # one string per row, not one per entry: an entry string and its list
+        # slot cost about 7.7 times the text of A(9, 8)
+        m = fractal_matrix(9, 8)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            text = serialize(m, "matrixmarket")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 4 * len(text)
 
 
 REFERENCE_CASES = 300

@@ -62,6 +62,15 @@ class TestFractalCommand:
             main(["fractal", "--k", "4"])
         assert err.value.code == 2
 
+    def test_write_error_names_the_given_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x"
+        assert main(["fractal", "--k", "1", "--ell", "1", "--format", "matrixmarket",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err
+        assert ".isofractal-" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize("argv", [
     ["fractal", "--k", "30", "--ell", "30"],
@@ -106,6 +115,16 @@ class TestPluckerCommand:
         assert main(["plucker", "--n", "5", "--k", "4", "--signed"]) == 0
         out = capsys.readouterr().out
         assert " -1" in out
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(2, n + 1)])
+    def test_signed_text_matches_entry_by_entry_reference(self, n, k, capsys):
+        assert main(["plucker", "--n", str(n), "--k", str(k), "--signed"]) == 0
+        pm = plucker.plucker_matrix(n, k, signed=True)
+        entries = [(i, j, sign) for i, row in enumerate(pm.signed_rows) for j, sign in row]
+        lines = ["%%MatrixMarket matrix coordinate integer general",
+                 f"{len(pm.signed_rows)} {len(pm.col_labels)} {len(entries)}"]
+        lines.extend(f"{i + 1} {j + 1} {sign}" for i, j, sign in entries)
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
     def test_signed_requires_matrixmarket(self, capsys):
         assert main(["plucker", "--n", "5", "--k", "4", "--signed",

@@ -79,6 +79,20 @@ class TestConstruction:
         fractal._check_params(9, 8)
 
 
+class TestHeldObjects:
+    # a shifted entry is a new int above 256; the builders share one per column
+    @pytest.mark.parametrize("k,ell", [(k, ell) for k in range(1, 7) for ell in range(1, 7)]
+                             + [(9, 8)])
+    def test_paste_route_holds_one_int_per_column(self, k, ell):
+        m = fractal_matrix(k, ell)
+        assert {c for row in m.row_adj for c in row} == set(range(m.cols))  # no zero column
+        assert len({id(c) for row in m.row_adj for c in row}) == m.cols
+
+    def test_block_route_holds_at_most_two_ints_per_column(self):
+        m = fractal_matrix_blockwise(9, 8)
+        assert len({id(c) for row in m.row_adj for c in row}) <= 2 * m.cols
+
+
 class TestStructuralLaws:
     def test_route_equivalence_and_weights(self):
         for k in range(1, 8):
