@@ -24,7 +24,10 @@ Besides the value type this module provides:
 * text serialization in MatrixMarket coordinate, alist, and plain ascii form,
   each built one string per row (the alist form also one per column) and
   joined once, never one string per entry: the MatrixMarket writer peaks at
-  about 2.5 times its text on A(9, 8).
+  about 2.5 times its text on A(9, 8).  The MatrixMarket form of a matrix with
+  ``(column, value)`` rows, which the signed contraction system needs, shares
+  the header and size line; the alist writer builds its column lists for the
+  one call, so writing a matrix leaves nothing cached on it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import lt
 from typing import Iterable, Sequence
 
@@ -94,13 +98,19 @@ class BinaryMatrix:
     def zero(cls, rows: int, cols: int) -> BinaryMatrix:
         return cls(rows, cols, ((),) * rows)
 
-    @cached_property
-    def _col_adj(self) -> tuple[Row, ...]:
+    def _col_lists(self) -> list[list[int]]:
+        """The rows of the ones in each column, ascending, built afresh."""
         adj: list[list[int]] = [[] for _ in range(self.cols)]
         for r, row in enumerate(self.row_adj):
             for c in row:
                 adj[c].append(r)
-        return tuple(map(tuple, adj))
+        return adj
+
+    @cached_property
+    def _col_adj(self) -> tuple[Row, ...]:
+        # cached for col_support and _vertex_adj only: a memoized family
+        # member keeps whatever is cached on it for the life of the process
+        return tuple(map(tuple, self._col_lists()))
 
     @cached_property
     def _vertex_adj(self) -> tuple[Row, ...]:
@@ -114,7 +124,8 @@ class BinaryMatrix:
         return [len(a) for a in self.row_adj]
 
     def col_weights(self) -> list[int]:
-        return [len(a) for a in self._col_adj]
+        counts = Counter(chain.from_iterable(self.row_adj))
+        return [counts[c] for c in range(self.cols)]
 
     @cached_property
     def weight(self) -> int:
@@ -342,12 +353,28 @@ def deserialize(text: str, fmt: str) -> BinaryMatrix:
 MATRIXMARKET_HEADER = "%%MatrixMarket matrix coordinate integer general"
 
 
+def _matrixmarket(rows: int, cols: int, nnz: int, row_texts: Iterable[str]) -> str:
+    """The header and size line, then the entry lines, one string per nonzero row."""
+    return "".join([f"{MATRIXMARKET_HEADER}\n{rows} {cols} {nnz}\n", *row_texts])
+
+
 def _to_matrixmarket(m: BinaryMatrix) -> str:
-    # one string per row: the entry lines of row r are "r c+1 1"
-    lines = [f"{MATRIXMARKET_HEADER}\n{m.rows} {m.cols} {m.weight}\n"]
-    lines.extend(f"{r} " + f" 1\n{r} ".join([str(c + 1) for c in row]) + " 1\n"
-                 for r, row in enumerate(m.row_adj, 1) if row)
-    return "".join(lines)
+    # the entry lines of row r are "r c+1 1"
+    return _matrixmarket(m.rows, m.cols, m.weight, (
+        f"{r} " + f" 1\n{r} ".join([str(c + 1) for c in row]) + " 1\n"
+        for r, row in enumerate(m.row_adj, 1) if row))
+
+
+def _signed_matrixmarket(rows: Sequence[Sequence[tuple[int, int]]], cols: int) -> str:
+    """MatrixMarket text of a matrix given as ``(column, value)`` rows, columns ascending.
+
+    The signed contraction system is written this way; ``deserialize`` reads
+    back only the 0/1 form.
+    """
+    # the entry lines of row i are "i j+1 value"
+    return _matrixmarket(len(rows), cols, sum(map(len, rows)), (
+        f"{i} " + f"\n{i} ".join([f"{j + 1} {v}" for j, v in row]) + "\n"
+        for i, row in enumerate(rows, 1) if row))
 
 
 def _from_matrixmarket(text: str) -> BinaryMatrix:
@@ -400,7 +427,7 @@ def _from_matrixmarket(text: str) -> BinaryMatrix:
 
 
 def _to_alist(m: BinaryMatrix) -> str:
-    col_lists = m._col_adj
+    col_lists = m._col_lists()
     row_lists = m.row_adj
     max_col = max(map(len, col_lists), default=0)
     max_row = max(map(len, row_lists), default=0)

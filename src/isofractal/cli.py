@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
 import tempfile
 import time
 
-from .bitmatrix import FORMATS, MATRIXMARKET_HEADER, serialize
+from .bitmatrix import FORMATS, _signed_matrixmarket, serialize
 from .fractal import fractal_matrix, verify_fractal
 from .gf import PrimeField
 from .incidence import incidence_matrix, verify_configuration, verify_incidence_fractal_match
@@ -88,13 +89,7 @@ def _cmd_plucker(args: argparse.Namespace) -> int:
     if args.signed:
         if args.format != "matrixmarket":
             raise ValueError("--signed output needs --format matrixmarket")
-        rows = pm.signed_rows
-        # one string per row, as bitmatrix writes the unsigned form
-        lines = [f"{MATRIXMARKET_HEADER}\n"
-                 f"{len(rows)} {len(pm.col_labels)} {sum(map(len, rows))}\n"]
-        lines.extend(f"{i} " + f"\n{i} ".join([f"{j + 1} {sign}" for j, sign in row]) + "\n"
-                     for i, row in enumerate(rows, 1) if row)
-        _write_text(args.out, "".join(lines))
+        _write_text(args.out, _signed_matrixmarket(pm.signed_rows, math.comb(2 * args.n, args.k)))
     else:
         _write_text(args.out, serialize(pm.support, args.format))
     return 0
@@ -162,11 +157,11 @@ def _suite_plucker(seed: int) -> list[dict]:
     for n, k in [(2, 2), (3, 2), (3, 3), (4, 3), (5, 4)]:
         ok = True
         pm = plucker_matrix(n, k, signed=True)
-        ncols = pm.support.cols
+        ncols = math.comb(2 * n, k)
         for q in (2, 3, 5):
             field = PrimeField(q)
             for _ in range(50):
-                w = [rng.randrange(q) for _ in range(ncols)]
+                w = rng.choices(range(q), k=ncols)
                 ok = ok and contraction(n, k, w, field) == pm.apply(w, field)
         checks.append({
             "name": f"contraction-consistency-n{n}-k{k}",

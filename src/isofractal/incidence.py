@@ -70,7 +70,7 @@ def verify_configuration(n: int, k: int) -> dict:
     if k % 2:
         raise ValueError(f"configuration checks need even k, got {k}")
     m = incidence_matrix(n, k)
-    row_labels = index_tuples((k - 2) // 2, n)
+    label_sets = [set(label) for label in index_tuples((k - 2) // 2, n)]
     supports = [set(row) for row in m.row_adj]
 
     expected_row_weight = n - (k - 2) // 2
@@ -80,13 +80,12 @@ def verify_configuration(n: int, k: int) -> dict:
     intersections_ok = True
     neighbor_ok = True
     overlap_target = (k - 4) // 2  # negative for k = 2, where there is one row
-    for i in range(m.rows):
+    for i, (support, label) in enumerate(zip(supports, label_sets)):
         for j in range(i + 1, m.rows):
-            shared = len(supports[i] & supports[j])
+            shared = len(support & supports[j])
             if shared > 1:
                 intersections_ok = False
-            label_overlap = len(set(row_labels[i]) & set(row_labels[j]))
-            if (shared > 0) != (label_overlap == overlap_target):
+            if (shared > 0) != (len(label & label_sets[j]) == overlap_target):
                 neighbor_ok = False
 
     distinct_ok = len({frozenset(s) for s in supports}) == m.rows

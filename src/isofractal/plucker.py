@@ -14,8 +14,11 @@ The two modes share their support, hence all support-level structure (weights,
 zero columns, block decomposition) is mode independent, while the kernels
 differ away from characteristic 2.  A :class:`PluckerMatrix` stores each row
 once, as ``(column, sign)`` pairs in ascending column order (the layout of
-``FieldMatrix.nonzeros``); the 0/1 support and the sign of each entry are
-views derived from those rows.  ``decompose`` builds the block structure
+``FieldMatrix.nonzeros``), next to ``n`` and ``k``; the row and column labels,
+the 0/1 support and the sign of each entry are views derived on first read.
+``contraction`` applies the contraction map itself, term by term on basis
+wedges, from a table of its terms built once per (n, k) by the wedge rule and
+never from the matrix rows.  ``decompose`` builds the block structure
 of the support from the pair-free parts of the labels, one block per cell of
 the row partition, and checks each block against its member of the recursive
 family bit for bit, with no component search and no equivalence search.  A
@@ -28,7 +31,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .bitmatrix import MAX_DIMENSION, BinaryMatrix
 # Unused here; the benchmark's traced passes rebind these two module attributes.
@@ -52,23 +55,36 @@ class PluckerMatrix:
     ``signed_rows[i]`` holds row i as ``(column, sign)`` pairs in ascending
     column order, the layout of ``FieldMatrix.nonzeros``; the sign is the
     reordering sign of the pair contraction and is the coefficient only when
-    ``signed`` is set (otherwise every coefficient is +1).  ``support`` and
-    ``signs`` are views derived from the rows on first read.
+    ``signed`` is set (otherwise every coefficient is +1).  There are
+    C(2n, k) columns.  ``row_labels``, ``col_labels``, ``support`` and
+    ``signs`` are views derived on first read; the labels from (n, k) alone.
     """
 
     n: int
     k: int
     signed: bool
     signed_rows: tuple[tuple[tuple[int, int], ...], ...]
-    row_labels: tuple[IndexTuple, ...]
-    col_labels: tuple[IndexTuple, ...]
+
+    @cached_property
+    def row_labels(self) -> tuple[IndexTuple, ...]:
+        """The (k-2)-tuples over [2n] in lexicographic order, one per row."""
+        return tuple(index_tuples(self.k - 2, 2 * self.n))
+
+    @cached_property
+    def col_labels(self) -> tuple[IndexTuple, ...]:
+        """The k-tuples over [2n] in lexicographic order, one per column."""
+        return tuple(index_tuples(self.k, 2 * self.n))
+
+    @property
+    def _ncols(self) -> int:
+        return math.comb(2 * self.n, self.k)
 
     @cached_property
     def support(self) -> BinaryMatrix:
         """The 0/1 pattern of the rows."""
         return BinaryMatrix(
-            len(self.row_labels),
-            len(self.col_labels),
+            len(self.signed_rows),
+            self._ncols,
             tuple(tuple(j for j, _ in row) for row in self.signed_rows),
         )
 
@@ -85,7 +101,7 @@ class PluckerMatrix:
     def field_matrix(self, field: PrimeField) -> FieldMatrix:
         p = field.p  # every coefficient is +-1, a nonzero residue for any p
         rows = tuple(tuple((j, c % p) for j, c in row) for row in self._coefficient_rows())
-        return FieldMatrix(field, rows, len(self.col_labels))
+        return FieldMatrix(field, rows, self._ncols)
 
     def apply(self, w: Sequence[int], field: PrimeField) -> FieldVector:
         """Sparse matrix-vector product over GF(p), as a tuple of Python ints.
@@ -96,8 +112,8 @@ class PluckerMatrix:
         read as Python ints before any arithmetic, so the sums are exact for
         any p and never wrap in the narrow dtype.
         """
-        if len(w) != len(self.col_labels):
-            raise ValueError(f"vector length {len(w)} != {len(self.col_labels)} columns")
+        if len(w) != self._ncols:
+            raise ValueError(f"vector length {len(w)} != {self._ncols} columns")
         w = list(map(operator.index, w))
         p = field.p
         return tuple(sum(c * w[j] for j, c in row) % p for row in self._coefficient_rows())
@@ -111,32 +127,49 @@ def plucker_matrix(n: int, k: int, signed: bool = False) -> PluckerMatrix:
     in the order of their smaller member gives lexicographically increasing
     merged tuples, so each row comes out in ascending column order.  More than
     ``MAX_DIMENSION`` columns raise ``ValueError`` before any label is listed.
+    The labels are dropped once the rows are built.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if math.comb(2 * n, k) > MAX_DIMENSION:  # the column count; there are fewer rows
         raise ValueError(f"the (n={n}, k={k}) system has {math.comb(2 * n, k)} columns, "
                          f"past the limit {MAX_DIMENSION}")
-    row_labels = tuple(index_tuples(k - 2, 2 * n))
-    col_labels = tuple(index_tuples(k, 2 * n))
-    col_index = {t: j for j, t in enumerate(col_labels)}
+    col_index = {t: j for j, t in enumerate(index_tuples(k, 2 * n))}
     pairs = [(i, partner(i, n)) for i in range(1, n + 1)]
     rows = []
-    for base in row_labels:
+    for base in index_tuples(k - 2, 2 * n):
         row = []
         for lo, hi in pairs:
             merged_sign = _insert_pair(base, lo, hi)
             if merged_sign is not None:
                 row.append((col_index[merged_sign[0]], merged_sign[1]))
         rows.append(tuple(row))
-    return PluckerMatrix(
-        n=n,
-        k=k,
-        signed=signed,
-        signed_rows=tuple(rows),
-        row_labels=row_labels,
-        col_labels=col_labels,
-    )
+    return PluckerMatrix(n=n, k=k, signed=signed, signed_rows=tuple(rows))
+
+
+@lru_cache(maxsize=16)
+def _contraction_terms(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The terms of each k-tuple over [2n], tuples in lexicographic order.
+
+    A term is ``(index, sign)``: for every pair of positions r < s holding
+    partnered indices, the index of the tuple with those two factors removed
+    among the (k-2)-tuples and the sign (-1)**(r+s+1) of removing them
+    (1-based positions r+1 < s+1).
+    """
+    target_index = {t: i for i, t in enumerate(index_tuples(k - 2, 2 * n))}
+    terms = []
+    for beta in index_tuples(k, 2 * n):
+        supp = set(beta)
+        col = []
+        for r, e in enumerate(beta):
+            mate = partner(e, n)
+            if mate <= e or mate not in supp:
+                continue
+            s = beta.index(mate)  # r < s since mate > e and beta is increasing
+            reduced = tuple(v for t, v in enumerate(beta) if t != r and t != s)
+            col.append((target_index[reduced], 1 if (r + s + 1) % 2 == 0 else -1))
+        terms.append(tuple(col))
+    return tuple(terms)
 
 
 def contraction(n: int, k: int, w: list[int] | FieldVector, field: PrimeField) -> FieldVector:
@@ -145,32 +178,23 @@ def contraction(n: int, k: int, w: list[int] | FieldVector, field: PrimeField) -
     Works term by term on basis wedges: for every coordinate of ``w`` and
     every pair of positions holding partnered indices, the coordinate is added
     to the output at the reduced tuple with the positional sign of removing
-    those two factors.  Independent of :func:`plucker_matrix` by construction.
+    those two factors.  The terms of each coordinate are worked out once per
+    (n, k); a call makes one pass over the nonzero coordinates, read as Python
+    ints (as :meth:`PluckerMatrix.apply` reads them), so the sums are exact.
+    Independent of :func:`plucker_matrix` by construction.
     """
     if n < 1 or not 2 <= k <= 2 * n:
         raise ValueError(f"need n >= 1 and 2 <= k <= 2n, got n={n}, k={k}")
-    cols = index_tuples(k, 2 * n)
-    if len(w) != len(cols):
-        raise ValueError(f"vector length {len(w)} != {len(cols)} coordinates")
-    target_index = {t: i for i, t in enumerate(index_tuples(k - 2, 2 * n))}
+    if len(w) != math.comb(2 * n, k):
+        raise ValueError(f"vector length {len(w)} != {math.comb(2 * n, k)} coordinates")
     p = field.p
-    out = [0] * len(target_index)
-    for j, beta in enumerate(cols):
-        x = w[j] % p
-        if x == 0:
-            continue
-        supp = set(beta)
-        for r, e in enumerate(beta):
-            mate = partner(e, n)
-            if mate <= e or mate not in supp:
-                continue
-            s = beta.index(mate)  # r < s since mate > e and beta is increasing
-            # removing factors at 1-based positions r+1 < s+1 contributes (-1)**(r+s+1)
-            term = x if (r + s + 1) % 2 == 0 else (p - x) % p
-            reduced = tuple(v for t, v in enumerate(beta) if t != r and t != s)
-            idx = target_index[reduced]
-            out[idx] = (out[idx] + term) % p
-    return tuple(out)
+    out = [0] * math.comb(2 * n, k - 2)
+    for x, col in zip(map(operator.index, w), _contraction_terms(n, k)):
+        x %= p
+        if x:
+            for i, sign in col:
+                out[i] += sign * x
+    return tuple(v % p for v in out)
 
 
 @dataclass(frozen=True)

@@ -556,6 +556,14 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak - before <= 4 * len(text)
 
+    def test_writing_a_member_leaves_no_column_lists_on_it(self):
+        # the family members are memoized for the life of the process; cached
+        # column lists of A(9, 8) alone hold about 1.7 MB
+        m = fractal_matrix(9, 8)
+        serialize(m, "alist")
+        assert m.col_weights() == [8] * m.cols
+        assert "_col_adj" not in vars(m)
+
 
 REFERENCE_CASES = 300
 

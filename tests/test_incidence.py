@@ -83,6 +83,35 @@ class TestVerifyConfiguration:
         with pytest.raises(ValueError):
             verify_configuration(5, 3)
 
+    def test_rows_sharing_two_columns_fail(self, monkeypatch):
+        # (4, 4): the rows of labels (1,) and (2,) share the column {1, 2} only;
+        # moving row (1,) off {1, 4} onto {2, 3} makes them share two
+        m = incidence_matrix(4, 4)
+        assert m.row_adj[:2] == ((0, 1, 2), (0, 3, 4))
+        planted = BinaryMatrix(m.rows, m.cols, ((0, 1, 3),) + m.row_adj[1:])
+        monkeypatch.setattr(incidence, "incidence_matrix", lambda n, k: planted)
+        report = verify_configuration(4, 4)
+        assert report["row_weight_ok"] and report["rows_distinct_ok"]
+        assert not report["intersections_ok"]
+        assert not report["passed"]
+
+    def test_row_at_a_non_neighbour_fails_the_criterion(self, monkeypatch):
+        # (6, 6): swapping the rows of the disjoint labels (1, 2) and (3, 4)
+        # keeps every weight and intersection, but row (1, 2) then misses
+        # its neighbour (1, 5) and meets its non-neighbour (3, 5)
+        m = incidence_matrix(6, 6)
+        labels = index_tuples(2, 6)
+        a, b = labels.index((1, 2)), labels.index((3, 4))
+        rows = list(m.row_adj)
+        rows[a], rows[b] = rows[b], rows[a]
+        planted = BinaryMatrix(m.rows, m.cols, tuple(rows))
+        monkeypatch.setattr(incidence, "incidence_matrix", lambda n, k: planted)
+        report = verify_configuration(6, 6)
+        assert all(report[key] for key in ("row_weight_ok", "col_weight_ok",
+                                           "intersections_ok", "rows_distinct_ok"))
+        assert not report["neighbor_criterion_ok"]
+        assert not report["passed"]
+
 
 def triangle_row_order(m):
     """Row labels of the square-case configuration in nested triangle order.

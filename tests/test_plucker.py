@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,19 @@ class TestPluckerMatrix:
                 assert pm.support.row_adj == tuple(tuple(j for j, _ in row)
                                                    for row in pm.signed_rows)
 
+    def test_holds_only_its_rows(self):
+        # the (8, 8) column labels alone would hold about 2 MB: 12,870 8-tuples
+        tracemalloc.start()
+        try:
+            pm = plucker_matrix(8, 8, signed=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 3_000_000
+        assert not {"row_labels", "col_labels", "support", "signs"} & set(vars(pm))
+        assert pm.col_labels == tuple(index_tuples(8, 16))
+        assert pm.row_labels == tuple(index_tuples(6, 16))
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             plucker_matrix(3, 1)
@@ -133,7 +147,47 @@ def basis_vector(n, k, label):
     return w
 
 
+def reference_contraction(n, k, w, field):
+    """Term by term on basis wedges, rebuilding the labels on every call."""
+    cols = index_tuples(k, 2 * n)
+    assert len(w) == len(cols)
+    target_index = {t: i for i, t in enumerate(index_tuples(k - 2, 2 * n))}
+    p = field.p
+    out = [0] * len(target_index)
+    for j, beta in enumerate(cols):
+        x = w[j] % p
+        if x == 0:
+            continue
+        supp = set(beta)
+        for r, e in enumerate(beta):
+            mate = partner(e, n)
+            if mate <= e or mate not in supp:
+                continue
+            s = beta.index(mate)
+            # removing factors at 1-based positions r+1 < s+1 contributes (-1)**(r+s+1)
+            term = x if (r + s + 1) % 2 == 0 else (p - x) % p
+            reduced = tuple(v for t, v in enumerate(beta) if t != r and t != s)
+            idx = target_index[reduced]
+            out[idx] = (out[idx] + term) % p
+    return tuple(out)
+
+
 class TestContraction:
+    @pytest.mark.parametrize("n,k", [(1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6),
+                                     (4, 5), (4, 8), (2, 2), (4, 3), (5, 4)])
+    def test_matches_term_by_term_reference(self, n, k):
+        # k > n has no plucker_matrix to compare with; entries run outside [0, p)
+        # and come as a list or an int64 array;
+        # each (n, k) goes through every p, so its terms are shared across fields
+        rng = random.Random(100 * n + k)
+        ncols = math.comb(2 * n, k)
+        for p in (2, 3, 5, 7):
+            f = PrimeField(p)
+            for _ in range(20):
+                w = [rng.randrange(-3 * p, 3 * p) for _ in range(ncols)]
+                expected = reference_contraction(n, k, w, f)
+                assert contraction(n, k, w, f) == contraction(n, k, np.array(w), f) == expected
+
     def test_non_partnered_coordinate_vanishes(self):
         f = PrimeField(2)
         assert contraction(2, 2, basis_vector(2, 2, (1, 2)), f) == (0,)
