@@ -432,7 +432,7 @@ def _to_alist(m: BinaryMatrix) -> str:
     max_col = max(map(len, col_lists), default=0)
     max_row = max(map(len, row_lists), default=0)
 
-    def padded(indices: Row, width: int) -> str:
+    def padded(indices: Sequence[int], width: int) -> str:
         return " ".join([str(i + 1) for i in indices] + ["0"] * (width - len(indices)))
 
     lines = [
