@@ -85,10 +85,10 @@ def _cmd_incidence(args: argparse.Namespace) -> int:
 
 
 def _cmd_plucker(args: argparse.Namespace) -> int:
+    if args.signed and args.format != "matrixmarket":
+        raise ValueError("--signed output needs --format matrixmarket")
     pm = plucker_matrix(args.n, args.k, signed=args.signed)
     if args.signed:
-        if args.format != "matrixmarket":
-            raise ValueError("--signed output needs --format matrixmarket")
         _write_text(args.out, _signed_matrixmarket(pm.signed_rows, math.comb(2 * args.n, args.k)))
     else:
         _write_text(args.out, serialize(pm.support, args.format))
@@ -162,7 +162,8 @@ def _suite_plucker(seed: int) -> list[dict]:
             field = PrimeField(q)
             for _ in range(50):
                 w = rng.choices(range(q), k=ncols)
-                ok = ok and contraction(n, k, w, field) == pm.apply(w, field)
+                sparse = tuple((j, v) for j, v in enumerate(w) if v)
+                ok = ok and contraction(n, k, w, field) == pm.apply(sparse, field)
         checks.append({
             "name": f"contraction-consistency-n{n}-k{k}",
             "passed": ok,
@@ -204,10 +205,10 @@ def _suite_points() -> list[dict]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     suites = {
-        "fractal": lambda: _suite_fractal(),
-        "incidence": lambda: _suite_incidence(),
+        "fractal": _suite_fractal,
+        "incidence": _suite_incidence,
         "plucker": lambda: _suite_plucker(args.seed),
-        "points": lambda: _suite_points(),
+        "points": _suite_points,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     checks = []

@@ -27,7 +27,6 @@ literally [A(k, ell-1), 0; I, A(k-1, ell)], so where both routes agree at
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .bitmatrix import MAX_DIMENSION, BinaryMatrix
@@ -115,7 +114,7 @@ def verify_fractal(k_max: int, ell_max: int) -> dict:
                 "row_weights_ok": all(w == k for w in a.row_weights()),
                 "col_weights_ok": all(w == ell for w in a.col_weights()),
                 "ones": a.weight,
-                "density": float(Fraction(a.weight, a.rows * a.cols)),
+                "density": a.density,
             }
             entry["passed"] = all(
                 entry[key]

@@ -7,13 +7,9 @@ rows, and nullspace bases.
 Matrices are stored row-sparse: each row is its nonzero ``(column, residue)``
 pairs in ascending column order, so the contraction system, whose rows hold
 at most n entries, is built and eliminated in memory proportional to its
-nonzeros.  Sparse rows are the only form a matrix is built from.
-``kernel_basis`` alone returns a dense result: one numpy array with a row per
-basis vector, filled by a single scatter from the reduced rows.  Its dtype is
-``np.min_scalar_type(p - 1)``, the smallest unsigned integer type that holds
-every residue: uint8 for every p <= 256.  Widen the array (``astype`` or
-``tolist``) before doing arithmetic on it: under NumPy's promotion rules a
-Python int times a uint8 array stays uint8 and wraps.
+nonzeros.  Sparse rows are the only form a matrix or vector takes here:
+``rref`` returns its reduced rows, and ``kernel_basis`` its basis vectors,
+in that form.
 
 Elimination works component by component.  ``bitmatrix.row_components``, the
 union-find that also splits the contraction system's support into blocks,
@@ -35,9 +31,6 @@ vectors at the zero columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-
-import numpy as np
 
 from .bitmatrix import check_rows, row_components
 
@@ -133,50 +126,23 @@ def rref(m: FieldMatrix) -> tuple[tuple[int, ...], tuple[SparseRow, ...]]:
             tuple(tuple(sorted(row.items())) for _, row in reduced))
 
 
-def sparse_entries(rows: tuple[SparseRow, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The row index, column and residue of each entry of sparse rows, as int64 arrays."""
-    cols, values = np.fromiter(chain.from_iterable(chain.from_iterable(rows)),
-                               dtype=np.int64).reshape(-1, 2).T
-    return np.repeat(np.arange(len(rows)), [len(row) for row in rows]), cols, values
+def kernel_basis(m: FieldMatrix) -> tuple[SparseRow, ...]:
+    """A deterministic basis of the right nullspace, one sparse row per free column.
 
-
-def kernel_basis(m: FieldMatrix) -> np.ndarray:
-    """A deterministic basis of the right nullspace, one row per free column.
-
-    Returns an array of shape ``(d, m.ncols)``, d the nullity, entries
-    residues in ``[0, p)``, of dtype ``np.min_scalar_type(p - 1)``: uint8 up
-    to p = 256, then uint16, uint32 and uint64.  Nearly every cell is zero,
-    so the itemsize sets the memory.  Arithmetic on the array must widen it
-    first: a Python int times a uint8 array stays uint8 and wraps.
-
-    Free columns are taken in ascending order; row i has a 1 at the i-th free
-    column and back-substituted pivot entries elsewhere.  A reduced pivot row
-    is nonzero only inside its own component, so a free column takes entries
-    from its component's pivots alone, and a zero column gives a unit vector.
-    The array is filled by one scatter from the reduced rows, so no Python
-    object is made per coordinate.
-
-    Raises ``ValueError``, before elimination, unless p - 1 < 2**63, the
-    largest residue the int64 arrays of ``sparse_entries`` hold; so the dtype
-    is at most uint64, never ``object``.
+    Free columns are taken in ascending order.  The row for free column f is
+    ``(c, p - v)`` for each reduced pivot row with pivot c and entry v at f,
+    in pivot order, followed by ``(f, 1)``: ``(column, residue)`` pairs in
+    ascending column order, the form of the rows ``rref`` returns.  A reduced
+    pivot row is nonzero only inside its own component, so a free column
+    takes entries from its component's pivots alone, and a zero column gives
+    the unit row ``((f, 1),)``.
     """
     p = m.field.p
-    if p - 1 >= 2**63:
-        raise ValueError(f"p={p} overflows int64: kernel entries need p - 1 < 2**63")
     pivots, rows = rref(m)
-    row_of, cols, values = sparse_entries(rows)
-    pivots = np.array(pivots, dtype=np.int64)
-    pivot_of = pivots[row_of]
-    # a reduced row is 1 at its pivot and nonzero elsewhere only at free columns
-    back = cols != pivot_of
-    is_free = np.ones(m.ncols, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    # entry e goes to the basis row led by free column owner[e], at column place[e]
-    owner = np.concatenate([free, cols[back]])
-    place = np.concatenate([free, pivot_of[back]])
-    entries = np.concatenate([np.ones(len(free), dtype=np.int64), p - values[back]])
-    basis = np.zeros((len(free), m.ncols), dtype=np.min_scalar_type(p - 1))
-    basis[(np.cumsum(is_free) - 1)[owner], place] = entries
-    return basis
-
+    back: dict[int, list[tuple[int, int]]] = {}
+    for pivot, row in zip(pivots, rows):
+        for j, v in row[1:]:  # a reduced row opens with its pivot's 1
+            back.setdefault(j, []).append((pivot, p - v))
+    pivot_set = set(pivots)
+    return tuple(tuple(back.get(f, ())) + ((f, 1),)
+                 for f in range(m.ncols) if f not in pivot_set)

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
-from .bitmatrix import MAX_DIMENSION, BinaryMatrix
+from .bitmatrix import MAX_DIMENSION, BinaryMatrix, check_rows
 # Unused here; the benchmark's traced passes rebind these two module attributes.
 from .bitmatrix import bipartite_components, permutation_equivalent  # noqa: F401
 from .combinat import (
@@ -45,7 +44,7 @@ from .combinat import (
     row_partition,
 )
 from .fractal import fractal_matrix
-from .gf import FieldMatrix, FieldVector, PrimeField
+from .gf import FieldMatrix, FieldVector, PrimeField, SparseRow
 
 
 @dataclass(frozen=True)
@@ -103,20 +102,21 @@ class PluckerMatrix:
         rows = tuple(tuple((j, c % p) for j, c in row) for row in self._coefficient_rows())
         return FieldMatrix(field, rows, self._ncols)
 
-    def apply(self, w: Sequence[int], field: PrimeField) -> FieldVector:
+    def apply(self, w: SparseRow, field: PrimeField) -> FieldVector:
         """Sparse matrix-vector product over GF(p), as a tuple of Python ints.
 
-        ``w`` is any sequence of integers, one per column: a list, a tuple or
-        a row of the array ``kernel_basis`` returns, whose dtype is
-        ``np.min_scalar_type(p - 1)`` (uint8 up to p = 256).  Its entries are
-        read as Python ints before any arithmetic, so the sums are exact for
-        any p and never wrap in the narrow dtype.
+        ``w`` holds the nonzero coordinates of a vector as ``(column, value)``
+        pairs, columns strictly ascending inside the C(2n, k) columns (else
+        ``ValueError``): the form of a row of ``kernel_basis``.  Values are
+        read with ``operator.index``, so the sums are exact for any p and a
+        float value is a ``TypeError``.
         """
-        if len(w) != self._ncols:
-            raise ValueError(f"vector length {len(w)} != {self._ncols} columns")
-        w = list(map(operator.index, w))
+        check_rows((tuple(j for j, _ in w),), self._ncols)
+        x = [0] * self._ncols
+        for j, v in w:
+            x[j] = operator.index(v)
         p = field.p
-        return tuple(sum(c * w[j] for j, c in row) % p for row in self._coefficient_rows())
+        return tuple(sum(c * x[j] for j, c in row) % p for row in self._coefficient_rows())
 
 
 def plucker_matrix(n: int, k: int, signed: bool = False) -> PluckerMatrix:

@@ -36,12 +36,12 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 
 from .combinat import IndexTuple, index_tuples
-from .gf import FieldMatrix, FieldVector, PrimeField, kernel_basis, rref, sparse_entries
+from .gf import FieldMatrix, FieldVector, PrimeField, SparseRow, kernel_basis, rref
 from .plucker import plucker_matrix
 
 DEFAULT_BUDGET = 1 << 25
@@ -216,20 +216,22 @@ def _collect(cells: Iterator[tuple[int, np.ndarray]], what: str) -> frozenset[Fi
     return frozenset(points)
 
 
-def _echelon(a: np.ndarray, field: PrimeField) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The nonzero rows of the reduced echelon form of a 2-d array, dense, and their pivots.
-
-    The entries are read as Python ints and the result is int64, so a narrow
-    ``kernel_basis`` array is widened before any arithmetic.
-    """
+def _sparse_rows(a: np.ndarray) -> tuple[SparseRow, ...]:
+    """The rows of a 2-d array of residues as sparse ``(column, residue)`` rows."""
     rows, cols = np.nonzero(a)
     pairs = list(zip(cols.tolist(), a[rows, cols].tolist()))
     ends = np.cumsum(np.count_nonzero(a, axis=1)).tolist()
-    sparse = tuple(tuple(pairs[start:end]) for start, end in zip([0] + ends, ends))
-    pivots, reduced = rref(FieldMatrix(field, sparse, a.shape[1]))
-    row_of, cols, values = sparse_entries(reduced)
-    dense = np.zeros((len(pivots), a.shape[1]), dtype=np.int64)
-    dense[row_of, cols] = values
+    return tuple(tuple(pairs[start:end]) for start, end in zip([0] + ends, ends))
+
+
+def _echelon(rows: tuple[SparseRow, ...], ncols: int,
+             field: PrimeField) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The nonzero reduced echelon rows of sparse rows, as a dense int64 array, and their pivots."""
+    pivots, reduced = rref(FieldMatrix(field, rows, ncols))
+    cols, values = np.fromiter(chain.from_iterable(chain.from_iterable(reduced)),
+                               dtype=np.int64).reshape(-1, 2).T
+    dense = np.zeros((len(pivots), ncols), dtype=np.int64)
+    dense[np.repeat(np.arange(len(pivots)), [len(row) for row in reduced]), cols] = values
     return dense, pivots
 
 
@@ -282,10 +284,10 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
     if q**d > budget:
         raise BudgetExceededError(required=q**d, budget=budget,
                                   what=f"kernel enumeration for (n={n}, k={k}, q={q})")
-    basis, pivots = _echelon(kernel, field)
+    basis, pivots = _echelon(kernel, math.comb(2 * n, k), field)
     forms = _pullback_forms(quadratic_relations(n, k), basis, n, k, q)
     first, second = _monomials(d)
-    reduced, form_pivots = _echelon(forms, field)
+    reduced, form_pivots = _echelon(_sparse_rows(forms), forms.shape[1], field)
     # the pivots ascend and the monomials descend, so the keys descend: reverse
     keys = second[list(form_pivots)][::-1]
     upper = np.zeros((len(keys), d, d), dtype=np.int64)

@@ -43,3 +43,23 @@ def test_traced_emit_ops_write_what_their_spans_count(tmp_path, monkeypatch):
             written[root.attrs["op"]] += s.attrs["bytes"]
     assert written == {op.id: sum((passdir / name).stat().st_size for name in op.outputs)
                        for op in ops}
+
+
+def test_untraced_kernel_ops_pass(tmp_path, monkeypatch):
+    # the child samples basis vectors with ``len``, indexing, ``any`` and
+    # ``PluckerMatrix.apply``; each must be a nonzero kernel vector
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import run
+    from workloads import Checker, workloads
+
+    ops = workloads(seed=0)["system-kernel"].ops
+    passdir = tmp_path / "pass"
+    p = run.spawn(passdir, {"ops": [op.spec() for op in ops], "seed": 0, "trace": False},
+                  timeout=120)
+    assert p["exit"] == 0 and p["result"] is not None, p["stderr"][-500:]
+    records = p["result"]["ops"]
+    assert [(r["id"], r["error"], r["problems"]) for r in records] == [
+        (op.id, None, []) for op in ops]
+    assert [r["dim"] for r in records] == [1780, 1444, 2003]
+    checker = Checker(ROOT)
+    assert [checker.check(op, r, passdir) for op, r in zip(ops, records)] == [[]] * 3

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from isofractal import fractal, plucker, variety
+from isofractal import cli, fractal, plucker, variety
 from isofractal.bitmatrix import BinaryMatrix
 from isofractal.cli import build_parser, main
 from isofractal.variety import DEFAULT_BUDGET
@@ -130,6 +130,14 @@ class TestPluckerCommand:
         assert main(["plucker", "--n", "5", "--k", "4", "--signed",
                      "--format", "ascii"]) == 2
         assert "matrixmarket" in capsys.readouterr().err
+
+    def test_signed_format_refused_before_the_system_is_built(self, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("plucker_matrix was called")
+
+        monkeypatch.setattr(cli, "plucker_matrix", unreachable)
+        assert main(["plucker", "--n", "9", "--k", "9", "--signed", "--format", "ascii"]) == 2
+        assert capsys.readouterr().err == "error: --signed output needs --format matrixmarket\n"
 
 
 class TestDecomposeCommand:
@@ -283,8 +291,8 @@ class TestPointsCommand:
         # the kernel basis is 2, not 1, at its pivots
         echelon = variety._echelon
 
-        def doubled(a, field):
-            rows, pivots = echelon(a, field)
+        def doubled(sparse, ncols, field):
+            rows, pivots = echelon(sparse, ncols, field)
             return 2 * rows % field.p, pivots
 
         monkeypatch.setattr(variety, "_echelon", doubled)

@@ -1,5 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +86,11 @@ def naive_kernel(field, rows, ncols):
             v[pc] = (-reduced[i][free]) % field.p
         basis.append(tuple(v))
     return basis
+
+
+def sparse(vectors):
+    """Dense vectors as sparse ``(column, value)`` rows, the form ``kernel_basis`` returns."""
+    return tuple(tuple((j, v) for j, v in enumerate(vector) if v) for vector in vectors)
 
 
 def reference_kernel(m):
@@ -211,9 +221,8 @@ class TestBlockwiseElimination:
         assert_rref_is_naive(m, rows)
         basis = kernel_basis(m)
         expected = naive_kernel(f, rows, ncols)
-        assert basis.dtype == np.min_scalar_type(f.p - 1)
-        assert basis.shape == (len(expected), ncols)
-        assert [tuple(v) for v in basis.tolist()] == expected
+        assert basis == sparse(expected) == sparse(reference_kernel(m))
+        assert all(type(v) is int for row in basis for _, v in row)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_shuffled_direct_sums(self, p):
@@ -374,23 +383,19 @@ class TestKernelBasis:
         f = PrimeField(2)
         basis = kernel_basis(plucker_matrix(2, 2).field_matrix(f))
         assert len(basis) == 5
-        for v in basis:
-            assert (v[2] + v[3]) % 2 == 0
+        for row in basis:
+            v = dict(row)
+            assert (v.get(2, 0) + v.get(3, 0)) % 2 == 0
 
     def test_identity_has_trivial_kernel(self):
         f = PrimeField(3)
         m = dense_matrix(f, [[1, 0], [0, 1]])
-        assert kernel_basis(m).shape == (0, 2)
+        assert kernel_basis(m) == ()
 
     def test_zero_matrix_standard_basis(self):
         f = PrimeField(5)
         m = dense_matrix(f, [[0] * 4, [0] * 4])
-        assert kernel_basis(m).tolist() == [
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-            [0, 0, 1, 0],
-            [0, 0, 0, 1],
-        ]
+        assert kernel_basis(m) == (((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),))
 
     def test_members_annihilated_and_count(self):
         rng = random.Random(3)
@@ -401,42 +406,54 @@ class TestKernelBasis:
             basis = kernel_basis(m)
             pivots, _ = rref(m)
             assert len(basis) == 8 - len(pivots)
-            for v in basis:
+            for v in dense_rows(FieldMatrix(f, basis, 8)):
                 assert [sum(a * b for a, b in zip(row, v)) % p for row in dense_rows(m)] == [0] * 5
             # independence: stacking the basis loses no rank
-            if len(basis):
-                pivots, _ = rref(dense_matrix(f, basis.tolist()))
-                assert len(pivots) == len(basis)
+            pivots, _ = rref(FieldMatrix(f, basis, 8))
+            assert len(pivots) == len(basis)
 
     @pytest.mark.parametrize("n,k,p", [(5, 4, 2), (5, 4, 3), (5, 4, 5), (6, 6, 3),
                                        (7, 6, 3), (7, 7, 2)])
     def test_array_equals_reference_tuples(self, n, k, p):
         m = plucker_matrix(n, k, signed=True).field_matrix(PrimeField(p))
         basis = kernel_basis(m)
-        assert basis.dtype == np.min_scalar_type(p - 1) and basis.shape[1] == m.ncols
-        assert [tuple(v) for v in basis.tolist()] == reference_kernel(m)
-
-    @pytest.mark.parametrize("p,dtype", [(2, np.uint8), (251, np.uint8), (257, np.uint16),
-                                         (65537, np.uint32), (2**63 - 25, np.uint64)])
-    def test_smallest_unsigned_dtype(self, p, dtype):
-        f = PrimeField(2)
-        # 2**63 - 25 is the largest prime below 2**63; trial division would take minutes
-        object.__setattr__(f, "p", p)
-        rows, ncols = random_block_sum(random.Random(p), p)
-        # the leading row puts p - 1, the largest residue, into the basis
-        m = dense_matrix(f, [[1, 1] + [0] * ncols] + [[0, 0] + row for row in rows], ncols + 2)
-        basis = kernel_basis(m)
-        assert basis.dtype == dtype == np.min_scalar_type(p - 1)
-        assert [tuple(v) for v in basis.tolist()] == reference_kernel(m)
-        assert basis[0, 0] == p - 1
+        assert basis == sparse(reference_kernel(m))
+        # each row is a valid sparse row, ending at its free column with a 1
+        FieldMatrix(m.field, basis, m.ncols)
+        assert all(row[-1][1] == 1 for row in basis)
 
     def test_int64_limit(self):
-        # an unchecked field: 2**63 + 1 is not prime, and no trial division runs
+        # residues past int64 stay exact; an unchecked field: 2**63 - 25 is the
+        # largest prime below 2**63, and trial division would take minutes
         f = PrimeField(2)
-        object.__setattr__(f, "p", 2**63 + 1)
-        m = FieldMatrix(f, (((0, 2**63),),), 2)
-        with pytest.raises(ValueError, match="p - 1 < 2\\*\\*63"):
-            kernel_basis(m)
-        object.__setattr__(f, "p", 2**63 - 25)  # the largest prime below 2**63
+        object.__setattr__(f, "p", 2**63 - 25)
         basis = kernel_basis(FieldMatrix(f, (((0, 1), (1, 1)),), 2))
-        assert basis.tolist() == [[2**63 - 26, 1]]
+        assert basis == (((0, 2**63 - 26), (1, 1)),)
+
+    def test_peak_memory_in_a_fresh_process(self):
+        # VmHWM after each basis, numpy and the system included; a dense
+        # basis would need 81 MiB at (8,8,2) and 1.19 GB at (9,9,2)
+        code = textwrap.dedent("""
+            from isofractal import PrimeField, kernel_basis, plucker_matrix
+            for n in (8, 9):
+                kernel_basis(plucker_matrix(n, n, signed=True).field_matrix(PrimeField(2)))
+                with open("/proc/self/status") as status:
+                    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+        """)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        peak_8, peak_9 = (int(kb) / 1024 for kb in done.stdout.split())
+        assert peak_8 < 100 and peak_9 < 150, (peak_8, peak_9)
+
+    def test_nine_nine_wilson_dimension(self):
+        pm = plucker_matrix(9, 9, signed=True)
+        f = PrimeField(2)
+        basis = kernel_basis(pm.field_matrix(f))
+        assert len(basis) == wilson_kernel_dimension(9, 9, 2) == 24566
+        zero = (0,) * len(pm.signed_rows)
+        for i in random.Random(9).sample(range(len(basis)), 8):
+            assert pm.apply(basis[i], f) == zero

@@ -17,6 +17,11 @@ from isofractal.plucker import (
     plucker_matrix,
 )
 
+def sparse(w):
+    """A dense vector as the ``(column, value)`` pairs ``PluckerMatrix.apply`` takes."""
+    return tuple((j, v) for j, v in enumerate(w) if v)
+
+
 # sha256 of the `decompose --out` text for every 2 <= k <= n <= 7
 REPORT_SHA256 = {
     (2, 2): "890b2533dd130ee62e4d73e8ae80fe0d4d91898031648e0ff46b079d87c9b6cf",
@@ -212,7 +217,7 @@ class TestContraction:
                 f = PrimeField(p)
                 for _ in range(200):
                     w = [rng.randrange(p) for _ in range(ncols)]
-                    assert contraction(n, k, w, f) == pm.apply(w, f)
+                    assert contraction(n, k, w, f) == pm.apply(sparse(w), f)
 
     def test_unsigned_agrees_in_characteristic_two(self):
         rng = random.Random(12)
@@ -222,25 +227,37 @@ class TestContraction:
             unsigned = plucker_matrix(n, k, signed=False)
             for _ in range(20):
                 w = [rng.randrange(2) for _ in range(signed.support.cols)]
-                assert signed.apply(w, f) == unsigned.apply(w, f)
+                assert signed.apply(sparse(w), f) == unsigned.apply(sparse(w), f)
 
     def test_apply_reads_array_rows_as_python_ints(self):
         pm = plucker_matrix(5, 4, signed=True)
         f = PrimeField(5)
         basis = kernel_basis(pm.field_matrix(f))
         for i in range(0, len(basis), 7):
+            wide = tuple((j, np.int64(v)) for j, v in basis[i])
             out = pm.apply(basis[i], f)
-            assert out == pm.apply(basis[i].tolist(), f) == (0,) * pm.support.rows
+            assert out == pm.apply(wide, f) == (0,) * pm.support.rows
             assert all(type(x) is int for x in out)
         w = np.array([random.Random(i).randrange(5) for i in range(pm.support.cols)])
-        assert pm.apply(w, f) == pm.apply(w.tolist(), f) == contraction(5, 4, w.tolist(), f)
+        assert pm.apply(sparse(w), f) == pm.apply(sparse(w.tolist()), f) \
+            == contraction(5, 4, w.tolist(), f)
         # five terms of p - 1 = 2**63 - 26 would wrap in int64; an unchecked field
         big = PrimeField(2)
         object.__setattr__(big, "p", 2**63 - 25)
         w = np.full(pm.support.cols, 2**63 - 26, dtype=np.int64)
-        out = pm.apply(w, big)
-        assert out == pm.apply(w.tolist(), big)
+        out = pm.apply(sparse(w), big)
+        assert out == pm.apply(sparse(w.tolist()), big)
         assert all(type(x) is int for x in out) and any(x > 2**62 for x in out)
+
+    def test_apply_rejects_bad_columns_and_float_values(self):
+        pm = plucker_matrix(3, 3, signed=True)
+        f = PrimeField(3)
+        assert pm.apply(((0, 1), (19, 2)), f) == pm.apply(sparse([1] + [0] * 18 + [2]), f)
+        for w in [((3, 1), (2, 1)), ((2, 1), (2, 1)), ((20, 1),), ((-1, 1),)]:
+            with pytest.raises(ValueError, match="increasing tuple of columns"):
+                pm.apply(w, f)
+        with pytest.raises(TypeError):
+            pm.apply(((0, 1.0),), f)
 
     def test_wedge_of_two_vectors_contracts_to_their_pairing(self):
         # isotropy two ways: contraction of x ^ y, and x @ gram @ y; the linear

@@ -107,11 +107,21 @@ class TestEvaluateRelation:
             evaluate_relation(rel, [0, 1], 2, 2, PrimeField(2))
 
 
+def dense_basis(rows, ncols):
+    """Sparse ``(column, residue)`` rows as a dense int64 array."""
+    basis = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, v in row:
+            basis[i, j] = v
+    return basis
+
+
 class TestPullbackForms:
     @pytest.mark.parametrize("n,k,q", [(2, 2, 3), (3, 2, 2), (3, 3, 3)])
     def test_forms_agree_with_raw_relations(self, n, k, q):
         field = PrimeField(q)
-        basis = kernel_basis(plucker_matrix(n, k, signed=True).field_matrix(field))
+        kernel = kernel_basis(plucker_matrix(n, k, signed=True).field_matrix(field))
+        basis = dense_basis(kernel, math.comb(2 * n, k))
         rels = quadratic_relations(n, k)
         forms = _pullback_forms(rels, basis, n, k, q)
         first, second = _monomials(len(basis))
@@ -284,7 +294,9 @@ class TestRationalPoints:
     def test_points_lead_with_one_at_a_basis_pivot(self, n, k, q):
         field = PrimeField(q)
         kernel = kernel_basis(plucker_matrix(n, k, signed=True).field_matrix(field))
-        _, pivots = variety._echelon(kernel, field)
+        rows, pivots = variety._echelon(kernel, math.comb(2 * n, k), field)
+        assert rows.dtype == np.int64 and rows.shape == (len(kernel), math.comb(2 * n, k))
+        assert (rows[np.arange(len(pivots)), list(pivots)] == 1).all()
         for point in rational_points(n, k, q).points:
             first = next(i for i, x in enumerate(point) if x)
             assert first in pivots
@@ -295,8 +307,8 @@ class TestRationalPoints:
         # the kernel basis is 2, not 1, at its pivots
         echelon = variety._echelon
 
-        def doubled(a, field):
-            rows, pivots = echelon(a, field)
+        def doubled(sparse, ncols, field):
+            rows, pivots = echelon(sparse, ncols, field)
             assert (rows[np.arange(len(pivots)), list(pivots)] == 1).all()
             return 2 * rows % field.p, pivots
 
@@ -311,7 +323,7 @@ class TestRationalPoints:
         for point in result.points:
             lead = next(x for x in point if x)
             assert lead == 1
-            assert pm.apply(list(point), field) == (0,)
+            assert pm.apply(tuple((j, v) for j, v in enumerate(point) if v), field) == (0,)
 
     def test_budget_refusal_names_required(self):
         with pytest.raises(BudgetExceededError) as err:
@@ -500,7 +512,8 @@ class TestOraclePoints:
         assert result.count == 135
         for point in result.points:
             w = list(point)
-            assert pm.apply(w, field) == (0,) * pm.support.rows
+            sparse = tuple((j, v) for j, v in enumerate(w) if v)
+            assert pm.apply(sparse, field) == (0,) * pm.support.rows
             assert all(evaluate_relation(rel, w, n, k, field) == 0 for rel in rels)
 
     def test_budget_refusal(self):
