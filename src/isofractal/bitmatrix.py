@@ -24,10 +24,11 @@ Besides the value type this module provides:
 * text serialization in MatrixMarket coordinate, alist, and plain ascii form,
   each built one string per row (the alist form also one per column) and
   joined once, never one string per entry: the MatrixMarket writer peaks at
-  about 2.5 times its text on A(9, 8).  The MatrixMarket form of a matrix with
-  ``(column, value)`` rows, which the signed contraction system needs, shares
-  the header and size line; the alist writer builds its column lists for the
-  one call, so writing a matrix leaves nothing cached on it.
+  about 2.5 times its text on A(9, 8).  The MatrixMarket form of a 0/1
+  matrix switched by a row and a column sign vector, which the signed
+  contraction system needs, shares the header and size line; the alist
+  writer builds its column lists for the one call, so writing a matrix
+  leaves nothing cached on it.
 """
 
 from __future__ import annotations
@@ -365,16 +366,16 @@ def _to_matrixmarket(m: BinaryMatrix) -> str:
         for r, row in enumerate(m.row_adj, 1) if row))
 
 
-def _signed_matrixmarket(rows: Sequence[Sequence[tuple[int, int]]], cols: int) -> str:
-    """MatrixMarket text of a matrix given as ``(column, value)`` rows, columns ascending.
+def _signed_matrixmarket(support: BinaryMatrix, row_signs: Sequence[int],
+                         col_signs: Sequence[int]) -> str:
+    """MatrixMarket text of ``support`` with ``row_signs[i] * col_signs[j]`` at each one (i, j).
 
-    The signed contraction system is written this way; ``deserialize`` reads
-    back only the 0/1 form.
+    ``deserialize`` reads back only the 0/1 form.
     """
     # the entry lines of row i are "i j+1 value"
-    return _matrixmarket(len(rows), cols, sum(map(len, rows)), (
-        f"{i} " + f"\n{i} ".join([f"{j + 1} {v}" for j, v in row]) + "\n"
-        for i, row in enumerate(rows, 1) if row))
+    return _matrixmarket(support.rows, support.cols, support.weight, (
+        f"{i} " + f"\n{i} ".join([f"{j + 1} {r * col_signs[j]}" for j in row]) + "\n"
+        for i, (r, row) in enumerate(zip(row_signs, support.row_adj), 1) if row))
 
 
 def _from_matrixmarket(text: str) -> BinaryMatrix:

@@ -89,7 +89,7 @@ def _cmd_plucker(args: argparse.Namespace) -> int:
         raise ValueError("--signed output needs --format matrixmarket")
     pm = plucker_matrix(args.n, args.k, signed=args.signed)
     if args.signed:
-        _write_text(args.out, _signed_matrixmarket(pm.signed_rows, math.comb(2 * args.n, args.k)))
+        _write_text(args.out, _signed_matrixmarket(pm.support, pm.row_signs, pm.col_signs))
     else:
         _write_text(args.out, serialize(pm.support, args.format))
     return 0

@@ -4,18 +4,15 @@ The symplectic form enters only through its basis pairs, the index pairs
 (i, 2n+1-i) of ``combinat.partner``.  One linear form per (k-2)-tuple: the
 sum, over the basis pairs disjoint from the tuple, of the wedge coordinate
 indexed by tuple plus pair.  Collecting the forms gives a C(2n, k-2) x
-C(2n, k) coefficient matrix.  Two coefficient modes exist side by side:
-
-* unsigned: every occurring coordinate enters with coefficient +1,
-* signed: each coordinate carries the reordering sign of the pair contraction,
-  which is what the contraction map itself produces.
-
-The two modes share their support, hence all support-level structure (weights,
-zero columns, block decomposition) is mode independent, while the kernels
-differ away from characteristic 2.  A :class:`PluckerMatrix` stores each row
-once, as ``(column, sign)`` pairs in ascending column order (the layout of
-``FieldMatrix.nonzeros``), next to ``n`` and ``k``; the row and column labels,
-the 0/1 support and the sign of each entry are views derived on first read.
+C(2n, k) coefficient matrix with support S.  In the signed mode each
+coordinate carries the reordering sign of the pair contraction, which is what
+the contraction map itself produces; in the unsigned mode every coefficient is
++1.  The signed system is D_r S D_c for two +-1 diagonals read off the labels
+(``_label_sign``), so a :class:`PluckerMatrix` stores S next to the two sign
+vectors, all +1 in the unsigned mode.  Support-level structure (weights, zero
+columns, block decomposition) is mode independent, and the signed kernel is
+D_c times the kernel of S: the two kernels differ by the column signs and have
+the same dimension in every characteristic.
 ``contraction`` applies the contraction map itself, term by term on basis
 wedges, from a table of its terms built once per (n, k) by the wedge rule and
 never from the matrix rows.  ``decompose`` builds the block structure
@@ -35,34 +32,27 @@ from functools import cached_property, lru_cache
 from .bitmatrix import MAX_DIMENSION, BinaryMatrix, check_rows
 # Unused here; the benchmark's traced passes rebind these two module attributes.
 from .bitmatrix import bipartite_components, permutation_equivalent  # noqa: F401
-from .combinat import (
-    IndexTuple,
-    _insert_pair,
-    index_tuples,
-    pair_free_part,
-    partner,
-    row_partition,
-)
+from .combinat import (IndexTuple, _insert_pair, index_tuples, pair_free_part, partner,
+                       row_partition)
 from .fractal import fractal_matrix
 from .gf import FieldMatrix, FieldVector, PrimeField, SparseRow
 
 
 @dataclass(frozen=True)
 class PluckerMatrix:
-    """Coefficient matrix of the pair-contraction forms, stored row-sparse.
+    """Coefficient matrix of the pair-contraction forms: a support and two sign vectors.
 
-    ``signed_rows[i]`` holds row i as ``(column, sign)`` pairs in ascending
-    column order, the layout of ``FieldMatrix.nonzeros``; the sign is the
-    reordering sign of the pair contraction and is the coefficient only when
-    ``signed`` is set (otherwise every coefficient is +1).  There are
-    C(2n, k) columns.  ``row_labels``, ``col_labels``, ``support`` and
-    ``signs`` are views derived on first read; the labels from (n, k) alone.
+    Entry (i, j) is ``row_signs[i] * col_signs[j]`` where ``support`` has a
+    one and 0 elsewhere; there are C(2n, k) columns.  ``row_labels``,
+    ``col_labels`` and ``signs`` are views derived on first read, the labels
+    from (n, k) alone.
     """
 
     n: int
     k: int
-    signed: bool
-    signed_rows: tuple[tuple[tuple[int, int], ...], ...]
+    support: BinaryMatrix
+    row_signs: tuple[int, ...]
+    col_signs: tuple[int, ...]
 
     @cached_property
     def row_labels(self) -> tuple[IndexTuple, ...]:
@@ -74,33 +64,17 @@ class PluckerMatrix:
         """The k-tuples over [2n] in lexicographic order, one per column."""
         return tuple(index_tuples(self.k, 2 * self.n))
 
-    @property
-    def _ncols(self) -> int:
-        return math.comb(2 * self.n, self.k)
-
-    @cached_property
-    def support(self) -> BinaryMatrix:
-        """The 0/1 pattern of the rows."""
-        return BinaryMatrix(
-            len(self.signed_rows),
-            self._ncols,
-            tuple(tuple(j for j, _ in row) for row in self.signed_rows),
-        )
-
     @cached_property
     def signs(self) -> dict[tuple[int, int], int]:
-        """The reordering sign of each entry, keyed by (row, column)."""
-        return {(i, j): s for i, row in enumerate(self.signed_rows) for j, s in row}
-
-    def _coefficient_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        if self.signed:
-            return self.signed_rows
-        return tuple(tuple((j, 1) for j, _ in row) for row in self.signed_rows)
+        """The coefficient of each entry, keyed by (row, column)."""
+        cs, rows = self.col_signs, zip(self.row_signs, self.support.row_adj)
+        return {(i, j): r * cs[j] for i, (r, row) in enumerate(rows) for j in row}
 
     def field_matrix(self, field: PrimeField) -> FieldMatrix:
-        p = field.p  # every coefficient is +-1, a nonzero residue for any p
-        rows = tuple(tuple((j, c % p) for j, c in row) for row in self._coefficient_rows())
-        return FieldMatrix(field, rows, self._ncols)
+        p, cs = field.p, self.col_signs  # every coefficient is +-1, nonzero for any p
+        rows = tuple(tuple([(j, r * cs[j] % p) for j in row])
+                     for r, row in zip(self.row_signs, self.support.row_adj))
+        return FieldMatrix(field, rows, self.support.cols)
 
     def apply(self, w: SparseRow, field: PrimeField) -> FieldVector:
         """Sparse matrix-vector product over GF(p), as a tuple of Python ints.
@@ -111,40 +85,64 @@ class PluckerMatrix:
         read with ``operator.index``, so the sums are exact for any p and a
         float value is a ``TypeError``.
         """
-        check_rows((tuple(j for j, _ in w),), self._ncols)
-        x = [0] * self._ncols
+        check_rows((tuple(j for j, _ in w),), self.support.cols)
+        x = [0] * self.support.cols
         for j, v in w:
-            x[j] = operator.index(v)
+            x[j] = self.col_signs[j] * operator.index(v)
         p = field.p
-        return tuple(sum(c * x[j] for j, c in row) % p for row in self._coefficient_rows())
+        return tuple(r * sum(map(x.__getitem__, row)) % p
+                     for r, row in zip(self.row_signs, self.support.row_adj))
+
+
+def _label_sign(t: IndexTuple, n: int) -> int:
+    """(-1)**f(t), f(t) counting (whole pair {e, 2n+1-e} in t, pair-free x in t, e < x < 2n+1-e).
+
+    Between the positions a < b of a whole pair lie those x and the whole
+    pairs nested inside it, so f is b - a - 1 summed over the pairs, mod 2.
+    """
+    m, f = 2 * n + 1, 0
+    for a, e in enumerate(t):
+        if e > n:  # the lower members of the pairs come first
+            break
+        if m - e in t:
+            f += t.index(m - e) - a - 1
+    return -1 if f % 2 else 1
 
 
 def plucker_matrix(n: int, k: int, signed: bool = False) -> PluckerMatrix:
     """Build the coefficient matrix, rows and columns in lexicographic order.
 
     Row i, for the i-th (k-2)-tuple, has one entry per basis pair disjoint
-    from the tuple, at the column of the merged k-tuple.  Inserting the pairs
-    in the order of their smaller member gives lexicographically increasing
-    merged tuples, so each row comes out in ascending column order.  More than
-    ``MAX_DIMENSION`` columns raise ``ValueError`` before any label is listed.
-    The labels are dropped once the rows are built.
+    from the tuple, at the column of the merged k-tuple; inserting the pairs
+    in the order of their smaller member keeps each row ascending.  When
+    ``signed`` is set a row's sign is :func:`_label_sign` of its label and a
+    column's sign is the row sign times the reordering sign of any entry in
+    it; every other sign is +1.  More than ``MAX_DIMENSION`` columns raise
+    ``ValueError`` before any label is listed.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if math.comb(2 * n, k) > MAX_DIMENSION:  # the column count; there are fewer rows
-        raise ValueError(f"the (n={n}, k={k}) system has {math.comb(2 * n, k)} columns, "
+    ncols = math.comb(2 * n, k)
+    if ncols > MAX_DIMENSION:  # there are fewer rows
+        raise ValueError(f"the (n={n}, k={k}) system has {ncols} columns, "
                          f"past the limit {MAX_DIMENSION}")
     col_index = {t: j for j, t in enumerate(index_tuples(k, 2 * n))}
     pairs = [(i, partner(i, n)) for i in range(1, n + 1)]
-    rows = []
+    rows, row_signs, col_signs = [], [], [1] * ncols
     for base in index_tuples(k - 2, 2 * n):
+        r = _label_sign(base, n) if signed else 1
         row = []
         for lo, hi in pairs:
             merged_sign = _insert_pair(base, lo, hi)
             if merged_sign is not None:
-                row.append((col_index[merged_sign[0]], merged_sign[1]))
+                j = col_index[merged_sign[0]]
+                row.append(j)
+                if signed:
+                    col_signs[j] = r * merged_sign[1]
         rows.append(tuple(row))
-    return PluckerMatrix(n=n, k=k, signed=signed, signed_rows=tuple(rows))
+        row_signs.append(r)
+    support = BinaryMatrix(len(rows), ncols, tuple(rows))
+    return PluckerMatrix(n, k, support, tuple(row_signs), tuple(col_signs))
 
 
 @lru_cache(maxsize=16)

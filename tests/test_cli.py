@@ -9,6 +9,7 @@ from jsonschema import validate
 
 from isofractal import cli, fractal, plucker, variety
 from isofractal.bitmatrix import BinaryMatrix
+from isofractal.combinat import _insert_pair, index_tuples
 from isofractal.cli import build_parser, main
 from isofractal.variety import DEFAULT_BUDGET
 
@@ -119,10 +120,15 @@ class TestPluckerCommand:
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(2, n + 1)])
     def test_signed_text_matches_entry_by_entry_reference(self, n, k, capsys):
         assert main(["plucker", "--n", str(n), "--k", str(k), "--signed"]) == 0
-        pm = plucker.plucker_matrix(n, k, signed=True)
-        entries = [(i, j, sign) for i, row in enumerate(pm.signed_rows) for j, sign in row]
+        row_labels = index_tuples(k - 2, 2 * n)
+        col_index = {t: j for j, t in enumerate(index_tuples(k, 2 * n))}
+        entries = []
+        for i, base in enumerate(row_labels):
+            inserted = filter(None, (_insert_pair(base, e, 2 * n + 1 - e)
+                                     for e in range(1, n + 1)))
+            entries.extend(sorted((i, col_index[t], sign) for t, sign in inserted))
         lines = ["%%MatrixMarket matrix coordinate integer general",
-                 f"{len(pm.signed_rows)} {len(pm.col_labels)} {len(entries)}"]
+                 f"{len(row_labels)} {len(col_index)} {len(entries)}"]
         lines.extend(f"{i + 1} {j + 1} {sign}" for i, j, sign in entries)
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
@@ -383,7 +389,9 @@ def test_readme_commands_run(argv, tmp_path, monkeypatch):
 
 
 # sha256 of each command's output file, recorded before the row-sparse rewrite;
-# the two points files were recorded before the forms went sparse
+# the two points files were recorded before the forms went sparse, the three
+# smaller signed systems and verify seed 1 before the system was stored as its
+# support plus sign vectors
 OUTPUT_SHA256 = {
     ("fractal", "--k", "9", "--ell", "8", "--format", "matrixmarket"):
         "eba1e736407adb5de23f1d6fb5eef7c2ddd9513b5bfa3c8791bc225596307ebc",
@@ -393,6 +401,12 @@ OUTPUT_SHA256 = {
         "88b91b51d60bf7c4f7141926604b8ad956aee41dd157b1da4fd9d6c4364bfb15",
     ("plucker", "--n", "8", "--k", "8", "--signed"):
         "c023bc2e8f28d826f67988eab90b4ad0090972c61c82731a005b4f793ae796c0",
+    ("plucker", "--n", "4", "--k", "3", "--signed"):
+        "e4beca4fa965ef46d0ad11683f8a03a123c3794d76ce2bb23d135a4a73f2f607",
+    ("plucker", "--n", "7", "--k", "7", "--signed"):
+        "37cabc070c2f83332f6f933000162c3c3db241bbc58928652d4506953bf1230f",
+    ("plucker", "--n", "9", "--k", "4", "--signed"):
+        "7a81ddd74aca7af4f0247a9d3fb489297d8634a46944b01fc381dcde4a0a0109",
     ("plucker", "--n", "5", "--k", "4", "--format", "matrixmarket"):
         "f2a4093cb90b812dd4ef25055327917aa9cfde4daecbd8daa5548bce48d791f1",
     ("plucker", "--n", "5", "--k", "4", "--format", "alist"):
@@ -400,6 +414,8 @@ OUTPUT_SHA256 = {
     ("incidence", "--n", "14", "--k", "8", "--format", "alist"):
         "360fac0e01a5cbec4c26077824088e8b041015051c465927e4bb71af7c5818f5",
     ("verify", "--suite", "all", "--seed", "0"):
+        "7afcd6edbd90af01336c0a4dd86d21fe40ca23ac5c0bd85d032f5d772d2c08c8",
+    ("verify", "--suite", "all", "--seed", "1"):
         "7afcd6edbd90af01336c0a4dd86d21fe40ca23ac5c0bd85d032f5d772d2c08c8",
     ("points", "--n", "3", "--k", "3", "--q", "3"):
         "d023231960c85de452ad85277a7371b93bb34d7ec5b6226a7b35751e8e76b6dd",

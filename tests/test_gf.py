@@ -207,9 +207,8 @@ class TestRref:
     def test_signed_system_against_naive_oracle(self, n, k, p):
         pm = plucker_matrix(n, k, signed=True)
         dense = [[0] * pm.support.cols for _ in range(pm.support.rows)]
-        for i, row in enumerate(pm.signed_rows):
-            for j, sign in row:
-                dense[i][j] = sign
+        for (i, j), sign in pm.signs.items():
+            dense[i][j] = sign
         assert_rref_is_naive(pm.field_matrix(PrimeField(p)), dense)
 
 
@@ -302,7 +301,10 @@ def wilson_kernel_dimension(n, k, p):
     The C(n, k) * 2**k pair-free columns are zero columns.  Each of the
     C(n, k - 2j) * 2**(k - 2j) blocks A(a, j), a = n - k + j + 1, is a sign
     switching of the inclusion matrix of (j-1)-subsets vs j-subsets of an
-    (a + j - 1)-set, so it adds its columns less that matrix's rank.
+    (a + j - 1)-set, so it adds its columns less that matrix's rank: the signed
+    system is D_r S D_c for +-1 diagonals D_r and D_c (checked entry by entry in
+    ``test_plucker.TestPluckerMatrix.test_sign_vectors_match_position_scan_oracle``),
+    so its kernel has the dimension of the kernel of the support S.
     """
     d = math.comb(n, k) * 2**k
     for j in range(1, k // 2 + 1):
@@ -454,6 +456,6 @@ class TestKernelBasis:
         f = PrimeField(2)
         basis = kernel_basis(pm.field_matrix(f))
         assert len(basis) == wilson_kernel_dimension(9, 9, 2) == 24566
-        zero = (0,) * len(pm.signed_rows)
+        zero = (0,) * pm.support.rows
         for i in random.Random(9).sample(range(len(basis)), 8):
             assert pm.apply(basis[i], f) == zero

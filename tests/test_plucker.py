@@ -8,7 +8,7 @@ import pytest
 
 from isofractal import cli, plucker
 from isofractal.bitmatrix import bipartite_components
-from isofractal.combinat import _insert_pair, index_tuples, pair_free_part, partner
+from isofractal.combinat import index_tuples, pair_free_part, partner
 from isofractal.fractal import fractal_matrix
 from isofractal.gf import PrimeField, kernel_basis, rref
 from isofractal.plucker import (
@@ -16,6 +16,7 @@ from isofractal.plucker import (
     decompose,
     plucker_matrix,
 )
+from test_combinat import contraction_sign_oracle
 
 def sparse(w):
     """A dense vector as the ``(column, value)`` pairs ``PluckerMatrix.apply`` takes."""
@@ -46,6 +47,13 @@ REPORT_SHA256 = {
     (7, 6): "d89e3bf3eb1b9f9c604b6249a89b35f4acfbee851bf3f7879bf41844383236bc",
     (7, 7): "3e439ea15c8eddc3dd88e99717f2ead9137c5d2e2d66d1dcbd5d6bdf821aa022",
 }
+
+
+def label_f(t, n):
+    """f(t): the pairs (whole basis pair {e, 2n+1-e} in t, pair-free x in t, e < x < 2n+1-e)."""
+    whole = [(e, 2 * n + 1 - e) for e in t if e <= n and 2 * n + 1 - e in t]
+    free = [x for x in t if 2 * n + 1 - x not in t]
+    return sum(1 for e, mate in whole for x in free if e < x < mate)
 
 
 def gram_matrix(n):
@@ -111,19 +119,45 @@ class TestPluckerMatrix:
                 is_zero = weights[j] == 0
                 assert is_zero == (pair_free_part(beta, n) == beta)
 
-    def test_signed_rows_match_insert_pair_with_sign(self):
-        for n in range(2, 7):
+    def test_sign_vectors_match_position_scan_oracle(self):
+        # entry (i, j) is row_signs[i] * col_signs[j], against the sign read off
+        # the positions of the pair in the merged tuple
+        for n in range(2, 9):
             for k in range(2, n + 1):
                 pm = plucker_matrix(n, k, signed=True)
                 col_index = {t: j for j, t in enumerate(pm.col_labels)}
-                for base, row in zip(pm.row_labels, pm.signed_rows, strict=True):
-                    inserted = [_insert_pair(base, i, partner(i, n)) for i in range(1, n + 1)]
-                    expected = sorted((col_index[t], s) for t, s in filter(None, inserted))
-                    assert row == tuple(expected), (n, k, base)
-                assert pm.signs == {(i, j): s for i, row in enumerate(pm.signed_rows)
-                                    for j, s in row}
-                assert pm.support.row_adj == tuple(tuple(j for j, _ in row)
-                                                   for row in pm.signed_rows)
+                for i, base in enumerate(pm.row_labels):
+                    expected = sorted(
+                        (col_index[merged], sign)
+                        for e in range(1, n + 1) if {e, 2 * n + 1 - e}.isdisjoint(base)
+                        for merged, sign in [contraction_sign_oracle(base, e, n)])
+                    got = [(j, pm.row_signs[i] * pm.col_signs[j]) for j in pm.support.row_adj[i]]
+                    assert got == expected, (n, k, base)
+
+    def test_col_signs_are_the_label_function(self):
+        for n in range(2, 9):
+            for k in range(2, n + 1):
+                pm = plucker_matrix(n, k, signed=True)
+                assert pm.col_signs == tuple((-1) ** label_f(t, n) for t in pm.col_labels)
+                assert pm.row_signs == tuple((-1) ** label_f(t, n) for t in pm.row_labels)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_signed_kernel_is_column_switched_support_kernel(self, p):
+        # ker(D_r S D_c) = D_c ker(S): kernel row f of the signed system is
+        # c_f * D_c * kernel row f of S, c_f making its entry at f equal 1
+        f = PrimeField(p)
+        for n, k in [(3, 3), (4, 3), (4, 4), (5, 4), (6, 5)]:
+            signed = plucker_matrix(n, k, signed=True)
+            unsigned = plucker_matrix(n, k)
+            pivots, _ = rref(signed.field_matrix(f))
+            assert pivots == rref(unsigned.field_matrix(f))[0]
+            free = sorted(set(range(signed.support.cols)) - set(pivots))
+            cs = signed.col_signs
+            basis = kernel_basis(signed.field_matrix(f))
+            switched = tuple(tuple((j, cs[c] * cs[j] * v % p) for j, v in row)
+                             for c, row in zip(free, kernel_basis(unsigned.field_matrix(f)),
+                                               strict=True))
+            assert basis == switched, (n, k)
 
     def test_holds_only_its_rows(self):
         # the (8, 8) column labels alone would hold about 2 MB: 12,870 8-tuples
@@ -133,8 +167,8 @@ class TestPluckerMatrix:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held < 3_000_000
-        assert not {"row_labels", "col_labels", "support", "signs"} & set(vars(pm))
+        assert held < 2_000_000
+        assert not {"row_labels", "col_labels", "signs"} & set(vars(pm))
         assert pm.col_labels == tuple(index_tuples(8, 16))
         assert pm.row_labels == tuple(index_tuples(6, 16))
 
