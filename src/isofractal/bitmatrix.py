@@ -429,22 +429,20 @@ def _from_matrixmarket(text: str) -> BinaryMatrix:
 
 def _to_alist(m: BinaryMatrix) -> str:
     col_lists = m._col_lists()
-    row_lists = m.row_adj
     max_col = max(map(len, col_lists), default=0)
-    max_row = max(map(len, row_lists), default=0)
+    max_row = max(map(len, m.row_adj), default=0)
 
     def padded(indices: Sequence[int], width: int) -> str:
-        return " ".join([str(i + 1) for i in indices] + ["0"] * (width - len(indices)))
+        return " ".join([str(i + 1) for i in indices] + ["0"] * (width - len(indices))) + "\n"
 
-    lines = [
-        f"{m.cols} {m.rows}",
-        f"{max_col} {max_row}",
-        " ".join(str(len(x)) for x in col_lists),
-        " ".join(str(len(x)) for x in row_lists),
-    ]
-    lines.extend(padded(x, max_col) for x in col_lists)
-    lines.extend(padded(x, max_row) for x in row_lists)
-    return "\n".join(lines) + "\n"
+    head = (f"{m.cols} {m.rows}\n{max_col} {max_row}\n"
+            + " ".join([str(len(x)) for x in col_lists]) + "\n"
+            + " ".join([str(len(x)) for x in m.row_adj]) + "\n")
+    lines = [head, *(padded(x, max_col) for x in col_lists)]
+    # one string per line; the column lists are freed before the row lines are built
+    del col_lists
+    lines.extend(padded(x, max_row) for x in m.row_adj)
+    return "".join(lines)
 
 
 def _ints(line: str, lineno: int) -> list[int]:
