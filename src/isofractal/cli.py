@@ -28,6 +28,7 @@ import random
 import sys
 import tempfile
 import time
+from json.encoder import encode_basestring_ascii
 
 from .bitmatrix import FORMATS, _signed_matrixmarket, serialize
 from .fractal import fractal_matrix, verify_fractal
@@ -69,7 +70,36 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\n"``, without its pure-Python encoder.
+
+    ``indent`` sends ``json.dumps`` to the encoder written in Python, one
+    call per value.  This writes each container with one join, a list of
+    plain ints through ``map(str, ...)``, a str through the quoting function
+    ``json`` itself uses, and every other leaf through ``json.dumps``; tuples
+    are written as lists, as ``json`` writes them.
+    """
+    return _json_value(payload, "\n") + "\n"
+
+
+def _json_value(value: object, newline: str) -> str:
+    """``value`` as ``json`` writes it with ``indent=2``, nested as deep as ``newline`` indents."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # json writes a key that is not a str as the quoted JSON text of the key
+        items = (f"{encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))}: "
+                 f"{_json_value(item, inner)}" for key, item in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:  # not bool, which json writes as true/false
+            items = map(str, value)
+        else:
+            items = (_json_value(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
 
 
 def _cmd_fractal(args: argparse.Namespace) -> int:
@@ -117,7 +147,7 @@ def _cmd_points(args: argparse.Namespace) -> int:
         agree = oracle.points == result.points
         summary["oracle"] = {"count": oracle.count, "match": agree}
         summary["match"] = summary["match"] and agree
-    lines = [" ".join(str(v) for v in point) for point in sorted(result.points)]
+    lines = [" ".join(map(str, point)) for point in sorted(result.points)]
     _write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
     _write_text(args.summary_out, _json_text(summary))
     return 0 if summary["match"] else 1

@@ -8,15 +8,14 @@ throughout the package, always in lexicographic order so that positions are
 stable across runs.
 
 On top of the raw tuples this module provides the pairing of a symplectic
-basis (``partner``: the n index pairs (i, 2n+1-i) partition [2n]), insertion
-of a whole pair into a tuple together with the wedge reordering sign, and the
+basis (``partner``: the n index pairs (i, 2n+1-i) partition [2n]) and the
 partition of tuples by the pair-free part of their support, each cell a plain
-``(label, members)`` pair.
+``(label, members)`` pair.  The wedge reordering sign of inserting a pair is
+read off bitmask labels where the contraction system is built, in ``plucker``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import combinations
 
 IndexTuple = tuple[int, ...]
@@ -39,23 +38,6 @@ def partner(e: int, n: int) -> int:
     return 2 * n + 1 - e
 
 
-def _insert_pair(base: IndexTuple, lo: int, hi: int) -> tuple[IndexTuple, int] | None:
-    """Insert the pair ``lo < hi`` into ``base`` and report the reordering sign.
-
-    Returns ``None`` when either pair member already occurs in ``base`` (the
-    corresponding wedge coordinate vanishes).  Otherwise returns the sorted
-    union tuple together with (-1)**(a+b), where a and b count the entries of
-    ``base`` below each inserted member: the sign with which the sorted
-    coordinate appears when the pair is contracted out of the wedge.  ``base``
-    must be strictly increasing; nothing is checked.
-    """
-    if lo in base or hi in base:
-        return None
-    a = bisect_left(base, lo)
-    b = bisect_left(base, hi)
-    return base[:a] + (lo,) + base[a:b] + (hi,) + base[b:], (-1 if (a + b) % 2 else 1)
-
-
 def pair_free_part(t: IndexTuple, n: int) -> IndexTuple:
     """Entries of ``t`` whose pair partner is absent from ``t``."""
     supp = set(t)
@@ -73,8 +55,10 @@ def row_partition(n: int, k: int) -> tuple[tuple[IndexTuple, tuple[IndexTuple, .
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    m = 2 * n + 1
     cells: dict[IndexTuple, list[IndexTuple]] = {}
     for t in index_tuples(k - 2, 2 * n):
-        cells.setdefault(pair_free_part(t, n), []).append(t)
+        # pair_free_part(t, n), less the range check that t passes by construction
+        cells.setdefault(tuple([e for e in t if m - e not in t]), []).append(t)
     ordered = sorted(cells, key=lambda lab: (len(lab), lab))
     return tuple((lab, tuple(cells[lab])) for lab in ordered)

@@ -5,13 +5,17 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
 from isofractal import cli, fractal, plucker, variety
 from isofractal.bitmatrix import BinaryMatrix
-from isofractal.combinat import _insert_pair, index_tuples
+from isofractal.combinat import index_tuples
 from isofractal.cli import build_parser, main
+from isofractal.plucker import decompose
 from isofractal.variety import DEFAULT_BUDGET
+from test_combinat import contraction_sign_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "schemas"
@@ -124,8 +128,8 @@ class TestPluckerCommand:
         col_index = {t: j for j, t in enumerate(index_tuples(k, 2 * n))}
         entries = []
         for i, base in enumerate(row_labels):
-            inserted = filter(None, (_insert_pair(base, e, 2 * n + 1 - e)
-                                     for e in range(1, n + 1)))
+            inserted = [contraction_sign_oracle(base, e, n) for e in range(1, n + 1)
+                        if {e, 2 * n + 1 - e}.isdisjoint(base)]
             entries.extend(sorted((i, col_index[t], sign) for t, sign in inserted))
         lines = ["%%MatrixMarket matrix coordinate integer general",
                  f"{len(row_labels)} {len(col_index)} {len(entries)}"]
@@ -330,6 +334,63 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         validate(payload, load_schema("verify-report.schema.json"))
         assert all(c["passed"] for c in payload["checks"])
+
+
+def json_dumps_text(payload):
+    """The text ``_json_text`` must write: the standard library's, indent 2, keys sorted."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# strings json escapes or writes as \u escapes, next to whatever hypothesis draws
+json_strings = st.one_of(st.text(), st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\n\t\r", "\x7f", "é", "\u2028", "\ud800", "😀", "a\"b\\c"]))
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**80).map(lambda v: -v),
+    st.integers(2**64, 2**200), st.floats(), json_strings)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(st.lists(children), st.lists(children).map(tuple),
+                               st.lists(st.integers()), st.dictionaries(json_strings, children)),
+    max_leaves=40)
+
+
+class TestJsonText:
+    @given(st.dictionaries(json_strings, json_trees))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps(self, payload):
+        assert cli._json_text(payload) == json_dumps_text(payload)
+
+    def test_edge_shapes(self):
+        for payload in [{}, {"a": []}, {"a": {}}, {"a": ()}, {"a": [True, 1]},
+                        {"a": [[], {}, [[]]]}, {"b": [1, 2.0]}, {"a": float("nan")},
+                        {"a": [float("inf"), -float("inf")]}, {"a": (1, (2, 3))}]:
+            assert cli._json_text(payload) == json_dumps_text(payload), payload
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_decompose_report(self, n):
+        for k in range(2, n + 1):
+            payload = decompose(n, k).to_json_dict()
+            assert cli._json_text(payload) == json_dumps_text(payload), (n, k)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "all", "--seed", "0", "--out", "report.json"],
+        ["verify", "--suite", "all", "--seed", "1", "--out", "report.json"],
+        ["points", "--n", "3", "--k", "2", "--q", "3", "--oracle",
+         "--out", "points.txt", "--summary-out", "summary.json"],
+    ], ids=" ".join)
+    def test_command_reports(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        payloads = []
+        write = cli._json_text
+
+        def recording(payload):
+            payloads.append(payload)
+            return write(payload)
+
+        monkeypatch.setattr(cli, "_json_text", recording)
+        assert main(argv) == 0
+        assert len(payloads) == 1
+        assert (tmp_path / argv[-1]).read_text() == json_dumps_text(payloads[0])
 
 
 # each schema's command, less the path its output is written to, which comes last

@@ -1,16 +1,17 @@
 import math
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isofractal.combinat import (
-    _insert_pair,
     index_tuples,
     pair_free_part,
     partner,
     row_partition,
 )
+from isofractal.plucker import plucker_matrix
 
 
 def brute_force_tuples(s, m):
@@ -117,9 +118,24 @@ def contraction_sign_oracle(base, i, n):
     return merged, (-1) ** (r + s - 1)
 
 
+@lru_cache(maxsize=None)
+def signed_system(n, k):
+    return plucker_matrix(n, k, signed=True)
+
+
 def insert_ith_pair(base, i, n):
-    """Insert the i-th symplectic pair (i, 2n+1-i) of [2n] into ``base``."""
-    return _insert_pair(base, i, partner(i, n))
+    """Insert the i-th symplectic pair (i, 2n+1-i) of [2n] into ``base``, as the
+    signed Plücker system does: the column label and coefficient of the entry in
+    row ``base`` that adds this pair, or None when the row has no such entry."""
+    pm = signed_system(n, len(base) + 2)
+    r = pm.row_labels.index(base)
+    entries = [(pm.col_labels[j], pm.row_signs[r] * pm.col_signs[j]) for j in pm.support.row_adj[r]]
+    added = [tuple(sorted(set(t) - set(base))) for t, _ in entries]
+    # the row holds one entry per pair that misses the label, and no other
+    disjoint = [(e, partner(e, n)) for e in range(1, n + 1) if not {e, partner(e, n)} & set(base)]
+    assert sorted(added) == sorted(disjoint), (base, n)
+    got = [entry for entry, pair in zip(entries, added) if pair == (i, partner(i, n))]
+    return got[0] if got else None
 
 
 class TestInsertPairWithSign:
@@ -133,7 +149,8 @@ class TestInsertPairWithSign:
         assert insert_ith_pair((1, 8), 2, 5) == ((1, 2, 8, 9), -1)
 
     def test_null_when_pair_meets_base(self):
-        assert insert_ith_pair((1, 3), 1, 3) is None
+        # a length-2 base needs n >= 4 for the system to exist; the pair is {1, 8}
+        assert insert_ith_pair((1, 3), 1, 4) is None
         assert insert_ith_pair((6,), 1, 3) is None
 
     @given(st.data())

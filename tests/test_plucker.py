@@ -2,12 +2,13 @@ import hashlib
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from isofractal import cli, plucker
-from isofractal.bitmatrix import bipartite_components
+from isofractal.bitmatrix import BinaryMatrix, bipartite_components
 from isofractal.combinat import index_tuples, pair_free_part, partner
 from isofractal.fractal import fractal_matrix
 from isofractal.gf import PrimeField, kernel_basis, rref
@@ -395,6 +396,31 @@ class TestDecompose:
         monkeypatch.setattr(plucker, "row_partition", lambda n, k: cells(n, k)[1:])
         with pytest.raises(AssertionError):
             decompose(4, 4)
+
+    @pytest.mark.parametrize("n,k", [(4, 4), (5, 4)])
+    @pytest.mark.parametrize("fault", ["moved", "added"])
+    def test_one_outside_its_block_is_an_error(self, n, k, fault, monkeypatch):
+        # one entry of a block row moved into another cell's column, or one
+        # more entry there; the first keeps the support's weight
+        report = decompose(n, k)
+        home, other = report.blocks[0], report.blocks[-1]
+        r = home.rows[0]
+        build = plucker.plucker_matrix
+
+        def faulty(n, k, signed=False):
+            pm = build(n, k, signed)
+            rows = list(pm.support.row_adj)
+            moved = set(rows[r]) | {other.cols[0]}
+            if fault == "moved":
+                moved.discard(rows[r][0])
+            rows[r] = tuple(sorted(moved))
+            return replace(pm, support=BinaryMatrix(pm.support.rows, pm.support.cols,
+                                                    tuple(rows)))
+
+        assert other.cols[0] not in home.cols
+        monkeypatch.setattr(plucker, "plucker_matrix", faulty)
+        with pytest.raises(AssertionError):
+            decompose(n, k)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
