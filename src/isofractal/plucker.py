@@ -41,7 +41,7 @@ from typing import Iterator
 from .bitmatrix import MAX_DIMENSION, BinaryMatrix, check_rows
 # Unused here; the benchmark's traced passes rebind these two module attributes.
 from .bitmatrix import bipartite_components, permutation_equivalent  # noqa: F401
-from .combinat import IndexTuple, index_tuples, partner, row_partition
+from .combinat import index_tuples, partner, row_partition
 from .fractal import fractal_matrix
 from .gf import FieldMatrix, FieldVector, PrimeField, SparseRow
 
@@ -51,9 +51,9 @@ class PluckerMatrix:
     """Coefficient matrix of the pair-contraction forms: a support and two sign vectors.
 
     Entry (i, j) is ``row_signs[i] * col_signs[j]`` where ``support`` has a
-    one and 0 elsewhere; there are C(2n, k) columns.  ``row_labels``,
-    ``col_labels`` and ``signs`` are views derived on first read, the labels
-    from (n, k) alone.
+    one and 0 elsewhere; there are C(2n, k) columns, the k-tuples over [2n]
+    in lexicographic order, and C(2n, k - 2) rows, the (k-2)-tuples.
+    ``signs`` is a view derived on first read.
     """
 
     n: int
@@ -61,16 +61,6 @@ class PluckerMatrix:
     support: BinaryMatrix
     row_signs: tuple[int, ...]
     col_signs: tuple[int, ...]
-
-    @cached_property
-    def row_labels(self) -> tuple[IndexTuple, ...]:
-        """The (k-2)-tuples over [2n] in lexicographic order, one per row."""
-        return tuple(index_tuples(self.k - 2, 2 * self.n))
-
-    @cached_property
-    def col_labels(self) -> tuple[IndexTuple, ...]:
-        """The k-tuples over [2n] in lexicographic order, one per column."""
-        return tuple(index_tuples(self.k, 2 * self.n))
 
     @cached_property
     def signs(self) -> dict[tuple[int, int], int]:
@@ -328,7 +318,7 @@ def decompose(n: int, k: int) -> DecompositionReport:
         else:
             cols_by_label.setdefault(label, []).append(c)
 
-    row_index = {t: r for r, t in enumerate(pm.row_labels)}
+    row_index = {t: r for r, t in enumerate(index_tuples(k - 2, 2 * n))}
     blocks = []
     weight = 0
     for label, members in row_partition(n, k):

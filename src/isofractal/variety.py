@@ -4,7 +4,8 @@ Two independent routes produce the same point set:
 
 * ``rational_points``: solve the linear system, reduce the kernel basis to
   echelon form in coordinate order, pull every quadratic exchange relation
-  back to a form in its coefficients, and search them level by level, each
+  back on the sparse echelon rows to a sparse form in its coefficients,
+  reduce the forms to echelon form, and search them level by level, each
   form evaluated once per partial assignment as g + v*h + u*v**2 in the next
   coefficient v and only the survivors kept,
 * ``oracle_points``: for each pivot set, build the reduced echelon bases of
@@ -52,7 +53,6 @@ DEFAULT_BUDGET = 1 << 25
 # 1,233 MB VmHWM, 41 bytes per coordinate.  (5, 5, 2) holds 19.1M
 # coordinates, (5, 2, 3) would hold 1.09G.
 MAX_HELD_COORDINATES = 1 << 25
-_RELATION_BATCH = 64  # relations per pullback matmul
 
 
 def _shown(value: int) -> str:
@@ -150,30 +150,38 @@ def _monomials(d: int) -> tuple[np.ndarray, np.ndarray]:
     return first[::-1], second[::-1]
 
 
-def _pullback_forms(relations: list[tuple[IndexTuple, IndexTuple]], basis: np.ndarray,
-                    n: int, k: int, q: int) -> np.ndarray:
-    """Row r: relation r at c @ basis as a form in c, one column per monomial.
+def _pullback_forms(relations: list[tuple[IndexTuple, IndexTuple]],
+                    echelon: tuple[SparseRow, ...], n: int, k: int,
+                    q: int) -> tuple[SparseRow, ...]:
+    """Row r: relation r at c @ B as a sparse form in c, one column per monomial.
 
-    With M = sum of sign * B[:, i1] B[:, i2]^T over the terms, u_aa = M_aa and
-    u_ab = M_ab + M_ba; nothing is halved, so every characteristic works.  A
-    relation has at most k + 1 terms (never none: |beta| = |alpha| + 2), so
-    every relation is padded to k + 1 with zero-signed terms, and the M of
-    ``_RELATION_BATCH`` relations at a time, which bounds the d x d
-    temporaries, come from one batched matmul.
+    B is the sparse echelon basis, its rows indexed by the coordinates they
+    touch.  A term sign * x_i1 * x_i2 adds sign * B[a, i1] * B[b, i2] to the
+    monomial c_a c_b, columns as in ``_monomials`` and read in either order:
+    u_aa = M_aa and u_ab = M_ab + M_ba for M = sum of sign * B[:, i1] B[:, i2]^T,
+    nothing halved, so every characteristic works.  The sums are exact ints,
+    reduced mod q once per form, and the zero entries are dropped.
     """
     index = {label: i for i, label in enumerate(index_tuples(k, 2 * n))}
-    padded = [terms + [(0, 0, 0)] * (k + 1 - len(terms))
-              for terms in (_relation_terms(rel, index) for rel in relations)]
-    terms = np.array(padded, dtype=np.int64)
-    columns = basis.T
-    first, second = _monomials(len(basis))
-    forms = np.empty((len(relations), len(first)), dtype=np.int64)
-    for start in range(0, len(relations), _RELATION_BATCH):
-        signs, i1, i2 = terms[start: start + _RELATION_BATCH].transpose(2, 0, 1)
-        m = (columns[i1] * signs[..., None]).transpose(0, 2, 1) @ columns[i2]
-        forms[start: start + _RELATION_BATCH] = (m[:, first, second]
-                                                 + m[:, second, first] * (first != second))
-    return forms % q
+    touching: list[list[tuple[int, int]]] = [[] for _ in index]
+    for a, row in enumerate(echelon):
+        for i, v in row:
+            touching[i].append((a, v))
+    first, second = _monomials(len(echelon))
+    column = np.empty((len(echelon),) * 2, dtype=np.int64)
+    column[first, second] = column[second, first] = np.arange(len(first))
+    column = column.tolist()
+    forms = []
+    for rel in relations:
+        sums: dict[int, int] = {}
+        for sign, i1, i2 in _relation_terms(rel, index):
+            for a, x in touching[i1]:
+                for b, y in touching[i2]:
+                    m = column[a][b]
+                    sums[m] = sums.get(m, 0) + sign * x * y
+        residues = ((m, s % q) for m, s in sorted(sums.items()))
+        forms.append(tuple((m, r) for m, r in residues if r))
+    return tuple(forms)
 
 
 def _refuse_held_points(n: int, k: int, q: int) -> None:
@@ -216,38 +224,30 @@ def _collect(cells: Iterator[tuple[int, np.ndarray]], what: str) -> frozenset[Fi
     return frozenset(points)
 
 
-def _sparse_rows(a: np.ndarray) -> tuple[SparseRow, ...]:
-    """The rows of a 2-d array of residues as sparse ``(column, residue)`` rows."""
-    rows, cols = np.nonzero(a)
-    pairs = list(zip(cols.tolist(), a[rows, cols].tolist()))
-    ends = np.cumsum(np.count_nonzero(a, axis=1)).tolist()
-    return tuple(tuple(pairs[start:end]) for start, end in zip([0] + ends, ends))
-
-
-def _echelon(rows: tuple[SparseRow, ...], ncols: int,
-             field: PrimeField) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The nonzero reduced echelon rows of sparse rows, as a dense int64 array, and their pivots."""
-    pivots, reduced = rref(FieldMatrix(field, rows, ncols))
-    cols, values = np.fromiter(chain.from_iterable(chain.from_iterable(reduced)),
+def _dense(rows: tuple[SparseRow, ...], ncols: int) -> np.ndarray:
+    """Sparse ``(column, residue)`` rows as a dense int64 array."""
+    cols, values = np.fromiter(chain.from_iterable(chain.from_iterable(rows)),
                                dtype=np.int64).reshape(-1, 2).T
-    dense = np.zeros((len(pivots), ncols), dtype=np.int64)
-    dense[np.repeat(np.arange(len(pivots)), [len(row) for row in reduced]), cols] = values
-    return dense, pivots
+    dense = np.zeros((len(rows), ncols), dtype=np.int64)
+    dense[np.repeat(np.arange(len(rows)), [len(row) for row in rows]), cols] = values
+    return dense
 
 
 def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> PointSet:
     """Kernel representatives surviving every quadratic relation.
 
     The d kernel vectors are reduced to echelon form by coordinate order, and
-    the relations, pulled back to forms in their coefficients, to an echelon
-    basis of forms, each keyed to the first level (coefficient) that sets all
-    its variables.  For each lead, fixed to 1 with the coefficients before it
-    0, a frontier holds the coefficients from the lead up to the level.  On a
-    row extended by v, a form keyed to the level is g + v*h + u*v**2: g the
-    form on the row, h its part linear in v, u its diagonal constant.  Each
-    form is evaluated once per row, and only the (row, v) pairs on which every
-    form vanishes are kept.  ``examined`` counts the rows built: before each
-    level, the frontier rows times the values of the level's coefficient.
+    the relations, pulled back on those rows to forms in their coefficients,
+    to an echelon basis of forms, each keyed to the first level (coefficient)
+    that sets all its variables.  Both stay sparse ``(column, residue)`` rows
+    up to the search, which densifies the basis and the reduced forms.  For
+    each lead, fixed to 1 with the coefficients before it 0, a frontier holds
+    the coefficients from the lead up to the level.  On a row extended by v,
+    a form keyed to the level is g + v*h + u*v**2: g the form on the row, h
+    its part linear in v, u its diagonal constant.  Each form is evaluated
+    once per row, and only the (row, v) pairs on which every form vanishes
+    are kept.  ``examined`` counts the rows built: before each level, the
+    frontier rows times the values of the level's coefficient.
 
     A combination led by coefficient i is 1 at pivot i and zero before it, so
     the points come out normalized and distinct; the collector checks both
@@ -284,14 +284,16 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
     if q**d > budget:
         raise BudgetExceededError(required=q**d, budget=budget,
                                   what=f"kernel enumeration for (n={n}, k={k}, q={q})")
-    basis, pivots = _echelon(kernel, math.comb(2 * n, k), field)
-    forms = _pullback_forms(quadratic_relations(n, k), basis, n, k, q)
+    ncols = math.comb(2 * n, k)
+    pivots, echelon = rref(FieldMatrix(field, kernel, ncols))
+    forms = _pullback_forms(quadratic_relations(n, k), echelon, n, k, q)
     first, second = _monomials(d)
-    reduced, form_pivots = _echelon(_sparse_rows(forms), forms.shape[1], field)
+    form_pivots, reduced = rref(FieldMatrix(field, forms, len(first)))
     # the pivots ascend and the monomials descend, so the keys descend: reverse
     keys = second[list(form_pivots)][::-1]
     upper = np.zeros((len(keys), d, d), dtype=np.int64)
-    upper[:, first, second] = reduced[::-1]
+    upper[:, first, second] = _dense(reduced[::-1], len(first))
+    basis = _dense(echelon, ncols)
     bounds = np.searchsorted(keys, np.arange(d + 1))
 
     examined = 0

@@ -299,13 +299,13 @@ class TestPointsCommand:
     def test_failed_kernel_check_exits_one(self, tmp_path, monkeypatch, capsys):
         # every echelon form doubled: the reduced forms keep their zeros, and
         # the kernel basis is 2, not 1, at its pivots
-        echelon = variety._echelon
+        reduce = variety.rref
 
-        def doubled(sparse, ncols, field):
-            rows, pivots = echelon(sparse, ncols, field)
-            return 2 * rows % field.p, pivots
+        def doubled(m):
+            pivots, rows = reduce(m)
+            return pivots, tuple(tuple((j, 2 * v % m.field.p) for j, v in row) for row in rows)
 
-        monkeypatch.setattr(variety, "_echelon", doubled)
+        monkeypatch.setattr(variety, "rref", doubled)
         code = main(["points", "--n", "2", "--k", "2", "--q", "3",
                      "--out", str(tmp_path / "pts.txt"),
                      "--summary-out", str(tmp_path / "summary.json")])

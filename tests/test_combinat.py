@@ -127,9 +127,11 @@ def insert_ith_pair(base, i, n):
     """Insert the i-th symplectic pair (i, 2n+1-i) of [2n] into ``base``, as the
     signed Plücker system does: the column label and coefficient of the entry in
     row ``base`` that adds this pair, or None when the row has no such entry."""
-    pm = signed_system(n, len(base) + 2)
-    r = pm.row_labels.index(base)
-    entries = [(pm.col_labels[j], pm.row_signs[r] * pm.col_signs[j]) for j in pm.support.row_adj[r]]
+    k = len(base) + 2
+    pm = signed_system(n, k)
+    r = index_tuples(k - 2, 2 * n).index(base)
+    cols = index_tuples(k, 2 * n)
+    entries = [(cols[j], pm.row_signs[r] * pm.col_signs[j]) for j in pm.support.row_adj[r]]
     added = [tuple(sorted(set(t) - set(base))) for t, _ in entries]
     # the row holds one entry per pair that misses the label, and no other
     disjoint = [(e, partner(e, n)) for e in range(1, n + 1) if not {e, partner(e, n)} & set(base)]

@@ -13,7 +13,7 @@ import pytest
 
 from isofractal import variety
 from isofractal.combinat import index_tuples
-from isofractal.gf import PrimeField, kernel_basis
+from isofractal.gf import FieldMatrix, PrimeField, kernel_basis, rref
 from isofractal.plucker import plucker_matrix
 from isofractal.variety import (
     DEFAULT_BUDGET,
@@ -116,22 +116,55 @@ def dense_basis(rows, ncols):
     return basis
 
 
+def echelon_basis(n, k, q):
+    """The field and the reduced echelon rows of the signed system's kernel over GF(q)."""
+    field = PrimeField(q)
+    kernel = kernel_basis(plucker_matrix(n, k, signed=True).field_matrix(field))
+    return field, rref(FieldMatrix(field, kernel, math.comb(2 * n, k)))[1]
+
+
 class TestPullbackForms:
-    @pytest.mark.parametrize("n,k,q", [(2, 2, 3), (3, 2, 2), (3, 3, 3)])
+    @pytest.mark.parametrize("n,k,q", [(2, 2, 3), (3, 2, 2), (3, 3, 3), (4, 2, 3)])
     def test_forms_agree_with_raw_relations(self, n, k, q):
         field = PrimeField(q)
         kernel = kernel_basis(plucker_matrix(n, k, signed=True).field_matrix(field))
         basis = dense_basis(kernel, math.comb(2 * n, k))
         rels = quadratic_relations(n, k)
-        forms = _pullback_forms(rels, basis, n, k, q)
+        forms = _pullback_forms(rels, kernel, n, k, q)
+        assert len(forms) == len(rels)
         first, second = _monomials(len(basis))
         rng = random.Random(2303)
-        for _ in range(200):
+        for _ in range(200 if n < 4 else 40):
             c = np.array([rng.randrange(q) for _ in range(len(basis))], dtype=np.int64)
-            pulled = forms @ (c[first] * c[second]) % q
+            monomials = (c[first] * c[second]).tolist()
+            pulled = [sum(v * monomials[m] for m, v in form) % q for form in forms]
             w = [int(v) for v in c @ basis % q]
             raw = [evaluate_relation(rel, w, n, k, field) for rel in rels]
-            assert pulled.tolist() == raw
+            assert pulled == raw
+
+    @pytest.mark.parametrize("n,k,q,rank", [(3, 3, 3, 21), (4, 3, 2, 351),
+                                            (4, 4, 3, 309), (5, 2, 2, 210)])
+    def test_rank_of_the_reduced_forms(self, n, k, q, rank):
+        field, echelon = echelon_basis(n, k, q)
+        d = len(echelon)
+        forms = _pullback_forms(quadratic_relations(n, k), echelon, n, k, q)
+        assert len(rref(FieldMatrix(field, forms, d * (d + 1) // 2))[0]) == rank
+
+    def test_pullback_and_form_reduction_stay_sparse(self):
+        # at (4, 3, 2), d = 48: a dense form matrix would hold 1,960 relations
+        # x 1,176 monomials, 18 MB of int64, before any temporary
+        n, k, q = 4, 3, 2
+        field, echelon = echelon_basis(n, k, q)
+        relations = quadratic_relations(n, k)
+        d = len(echelon)
+        tracemalloc.start()
+        try:
+            forms = _pullback_forms(relations, echelon, n, k, q)
+            rref(FieldMatrix(field, forms, d * (d + 1) // 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
 
 class TestExpectedCount:
@@ -237,8 +270,8 @@ class TestRationalPoints:
         # rejected; with every form zero, all 121 are points
         result = rational_points(2, 2, 3)
         assert (result.count, result.examined) == (40, 179)
-        pullback = variety._pullback_forms
-        monkeypatch.setattr(variety, "_pullback_forms", lambda *args: 0 * pullback(*args))
+        monkeypatch.setattr(variety, "_pullback_forms",
+                            lambda relations, *args: tuple(() for _ in relations))
         vacuous = rational_points(2, 2, 3)
         assert (vacuous.count, vacuous.examined) == ((3**5 - 1) // 2, 179)
 
@@ -249,18 +282,20 @@ class TestRationalPoints:
         q, d = 3, 5
         first, second = _monomials(d)
         squares = [{(4, 4): 1, (0, 1): 1, (2, 3): 2}, {(3, 3): 1, (1, 2): 2}]
-        monomials = list(zip(first.tolist(), second.tolist()))
-        forms = np.array([[form.get(mono, 0) for mono in monomials] for form in squares],
-                         dtype=np.int64)
+        column = {mono: m for m, mono in enumerate(zip(first.tolist(), second.tolist()))}
+        sparse = tuple(tuple(sorted((column[mono], v) for mono, v in form.items()))
+                       for form in squares)
+        forms = dense_basis(sparse, len(column))
         bases = []
 
-        def synthetic(relations, basis, n, k, q):
-            bases.append(basis)
-            return forms
+        def synthetic(relations, echelon, n, k, q):
+            bases.append(echelon)
+            return sparse
 
         monkeypatch.setattr(variety, "_pullback_forms", synthetic)
         found = rational_points(2, 2, q).points
-        [basis] = bases
+        [echelon] = bases
+        basis = dense_basis(echelon, math.comb(4, 2))
         assert len(basis) == d
         # every projective coefficient vector, first nonzero 1, kept where the forms vanish
         expected = set()
@@ -294,9 +329,9 @@ class TestRationalPoints:
     def test_points_lead_with_one_at_a_basis_pivot(self, n, k, q):
         field = PrimeField(q)
         kernel = kernel_basis(plucker_matrix(n, k, signed=True).field_matrix(field))
-        rows, pivots = variety._echelon(kernel, math.comb(2 * n, k), field)
-        assert rows.dtype == np.int64 and rows.shape == (len(kernel), math.comb(2 * n, k))
-        assert (rows[np.arange(len(pivots)), list(pivots)] == 1).all()
+        pivots, rows = rref(FieldMatrix(field, kernel, math.comb(2 * n, k)))
+        assert len(rows) == len(kernel)
+        assert all(row[0] == (pivot, 1) for pivot, row in zip(pivots, rows, strict=True))
         for point in rational_points(n, k, q).points:
             first = next(i for i, x in enumerate(point) if x)
             assert first in pivots
@@ -305,14 +340,14 @@ class TestRationalPoints:
     def test_unnormalized_echelon_basis_is_an_error(self, monkeypatch):
         # every echelon form doubled: the reduced forms keep their zeros, and
         # the kernel basis is 2, not 1, at its pivots
-        echelon = variety._echelon
+        reduce = variety.rref
 
-        def doubled(sparse, ncols, field):
-            rows, pivots = echelon(sparse, ncols, field)
-            assert (rows[np.arange(len(pivots)), list(pivots)] == 1).all()
-            return 2 * rows % field.p, pivots
+        def doubled(m):
+            pivots, rows = reduce(m)
+            assert all(row[0] == (pivot, 1) for pivot, row in zip(pivots, rows, strict=True))
+            return pivots, tuple(tuple((j, 2 * v % m.field.p) for j, v in row) for row in rows)
 
-        monkeypatch.setattr(variety, "_echelon", doubled)
+        monkeypatch.setattr(variety, "rref", doubled)
         with pytest.raises(ArithmeticError, match="first nonzero"):
             rational_points(2, 2, 3)
 
