@@ -55,10 +55,8 @@ def row_partition(n: int, k: int) -> tuple[tuple[IndexTuple, tuple[IndexTuple, .
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    m = 2 * n + 1
     cells: dict[IndexTuple, list[IndexTuple]] = {}
     for t in index_tuples(k - 2, 2 * n):
-        # pair_free_part(t, n), less the range check that t passes by construction
-        cells.setdefault(tuple([e for e in t if m - e not in t]), []).append(t)
+        cells.setdefault(pair_free_part(t, n), []).append(t)
     ordered = sorted(cells, key=lambda lab: (len(lab), lab))
     return tuple((lab, tuple(cells[lab])) for lab in ordered)

@@ -3,8 +3,8 @@
 A(k, ell) is the (0,1)-matrix with k ones per row, ell per column, and
 dimensions C(k+ell-1, ell-1) x C(k+ell-1, ell).  A member is named by the
 plain pair (k, ell), which each builder checks against k, ell >= 1 and the
-size limit ``MAX_DIMENSION``.  It is built here by two independent routes
-that must agree bit for bit:
+size limit ``MAX_DIMENSION`` on its sides and its ones.  It is built here by
+two independent routes that must agree bit for bit:
 
 * the paste route: A(k, 1) is the 1 x k all-ones row, and A(k, ell) sets
   A(j, ell-1) with the identity under it side by side for j = k down to 1,
@@ -45,6 +45,9 @@ def _check_params(k: int, ell: int) -> None:
     size = math.comb(k + ell - 1, min(k, ell))
     if size > MAX_DIMENSION:
         raise ValueError(f"A({k}, {ell}) has a side of {size}, past the limit {MAX_DIMENSION}")
+    ones = math.comb(k + ell - 1, ell - 1) * k  # k per row
+    if ones > MAX_DIMENSION:
+        raise ValueError(f"A({k}, {ell}) has {ones} ones, past the limit {MAX_DIMENSION}")
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

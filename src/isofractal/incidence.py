@@ -37,14 +37,18 @@ def incidence_matrix(n: int, k: int) -> BinaryMatrix:
     ones are the extensions of its label by one element; only those are built.
     For even k this is the incidence matrix of the pair-tuple configuration:
     row i marks the one-pair extensions of the i-th (k-2)/2-tuple of pairs.
-    More than ``MAX_DIMENSION`` columns raise ``ValueError`` before any label
-    is listed.
+    More than ``MAX_DIMENSION`` columns or ones raise ``ValueError`` before
+    any label is listed.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if math.comb(n, k // 2) > MAX_DIMENSION:  # the column count; there are fewer rows
         raise ValueError(f"the (n={n}, k={k}) incidence matrix has {math.comb(n, k // 2)} "
                          f"columns, past the limit {MAX_DIMENSION}")
+    ones = math.comb(n, (k - 2) // 2) * (n - (k - 2) // 2)  # the rows times the row weight
+    if ones > MAX_DIMENSION:
+        raise ValueError(f"the (n={n}, k={k}) incidence matrix has {ones} ones, "
+                         f"past the limit {MAX_DIMENSION}")
     low = (k - 2) // 2
     row_labels = index_tuples(low, n)
     col_index = {b: j for j, b in enumerate(index_tuples(low + 1, n))}

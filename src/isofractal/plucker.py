@@ -19,9 +19,9 @@ never from the matrix rows.
 The system and its block structure are built on bitmask labels (index e at
 bit e - 1): a pair meets a label when the masks share a bit, and the
 reordering sign is the parity of the label's indices between the pair's two
-members.  ``decompose`` builds the block structure of the support from the
-pair-free parts of the labels, one block per cell of the row partition, and
-checks each block against its member of the recursive family row by row:
+members.  ``decompose`` groups the row and column labels by their pair-free
+parts, one block per pair-free row label, and checks each block against its
+member of the recursive family row by row:
 each support row of the block must be the member's row carried onto the
 block's columns, which makes the block equal to the member bit for bit and
 leaves no one of the row outside it.  There is no component search, no
@@ -39,9 +39,10 @@ from itertools import combinations
 from typing import Iterator
 
 from .bitmatrix import MAX_DIMENSION, BinaryMatrix, check_rows
-# Unused here; the benchmark's traced passes rebind these two module attributes.
+# Unused here; the benchmark's traced passes rebind these module attributes.
 from .bitmatrix import bipartite_components, permutation_equivalent  # noqa: F401
-from .combinat import index_tuples, partner, row_partition
+from .combinat import row_partition  # noqa: F401
+from .combinat import index_tuples, partner
 from .fractal import fractal_matrix
 from .gf import FieldMatrix, FieldVector, PrimeField, SparseRow
 
@@ -103,6 +104,14 @@ def _basis_pairs(n: int) -> list[tuple[int, int]]:
             for e in range(n)]
 
 
+def _pair_free(mask: int, pairs: list[tuple[int, int]]) -> int:
+    """``mask`` less each basis pair of ``pairs`` (:func:`_basis_pairs`) it holds whole."""
+    for pair, _ in pairs:
+        if mask & pair == pair:
+            mask ^= pair
+    return mask
+
+
 def _label_sign(mask: int, pairs: list[tuple[int, int]]) -> int:
     """(-1)**f(t), f(t) counting (whole pair {e, 2n+1-e} in t, pair-free x in t, e < x < 2n+1-e).
 
@@ -130,13 +139,18 @@ def plucker_matrix(n: int, k: int, signed: bool = False) -> PluckerMatrix:
     of any entry in it: (-1)**(the row's indices between the pair's two
     members), which has the parity of the row's indices below the one plus
     those below the other.  Every other sign is +1.  More than
-    ``MAX_DIMENSION`` columns raise ``ValueError`` before any label is listed.
+    ``MAX_DIMENSION`` columns or ones raise ``ValueError`` before any label is
+    listed.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     ncols = math.comb(2 * n, k)
     if ncols > MAX_DIMENSION:  # there are fewer rows
         raise ValueError(f"the (n={n}, k={k}) system has {ncols} columns, "
+                         f"past the limit {MAX_DIMENSION}")
+    ones = n * math.comb(2 * n - 2, k - 2)  # a basis pair and a row label missing it
+    if ones > MAX_DIMENSION:
+        raise ValueError(f"the (n={n}, k={k}) system has {ones} ones, "
                          f"past the limit {MAX_DIMENSION}")
     col_index = dict(zip(_label_masks(k, n), range(ncols)))
     pairs = _basis_pairs(n)
@@ -281,59 +295,54 @@ def _pair_indexed_census(n: int, k: int) -> dict[tuple[int, int], int]:
 def decompose(n: int, k: int) -> DecompositionReport:
     """Build the block structure of the support from the labels and check it.
 
-    There is one block per cell of :func:`row_partition`.  For the cell
-    labelled S, with |S| = k - 2j and j >= 1, the rows are the cell's members
-    (S plus j - 1 whole pairs) and the columns are the column labels whose
-    pair-free part is S (S plus j whole pairs), both in lexicographic order;
-    the pair-free parts of the column labels are taken on their bitmasks.
-    The block must have the shape of A = A(n - k + j + 1, j), and member row
-    i of the cell, at support row r, must be row i of A carried onto the
+    Labels are bitmasks throughout.  The rows and the columns are grouped into
+    cells by the pair-free part of their label (:func:`_pair_free`), each in
+    lexicographic order, except that a column label that is its own pair-free
+    part is a zero column.  For the cell labelled S, with |S| = k - 2j and
+    j >= 1, the rows are S plus j - 1 whole pairs and the columns S plus j
+    whole pairs.  The block must have the shape of A = A(n - k + j + 1, j), and
+    row i of the cell, at support row r, must be row i of A carried onto the
     block's columns: ``support.row_adj[r] == tuple(map(cols.__getitem__,
     A.row_adj[i]))``.  That is the block equal to A bit for bit, and the row
     holding no one outside the block's columns.  There must be
     C(n, k - 2j) * 2**(k - 2j) such blocks.  The block weights must add up to
     the support's weight, so every one lies in a block; the pair-free column
-    labels, C(n, k) * 2**k of them, must hold no one, and they are the zero
-    columns.  Blocks are reported by smallest row.  Structural violations
-    raise ``AssertionError``; divergences from the pair-indexed form of the
-    block census are reported as flags.  The cost is linear in the ones of
-    the support.
+    labels, C(n, k) * 2**k of them, must hold no one.  Cells are made in the
+    order of their smallest row, so blocks are reported by smallest row.
+    Structural violations raise ``AssertionError``, naming the cell as its
+    1-based tuple; divergences from the pair-indexed form of the block census
+    are reported as flags.  The cost is linear in the ones of the support.
     """
     if not 2 <= k <= n <= 9:
         raise ValueError(f"need 2 <= k <= n <= 9, got k={k}, n={n}")
-    pm = plucker_matrix(n, k, signed=False)
-    support = pm.support
+    support = plucker_matrix(n, k, signed=False).support
     adj = support.row_adj
 
     pairs = _basis_pairs(n)
+    cells: dict[int, tuple[list[int], list[int]]] = {}
+    for r, mask in enumerate(_label_masks(k - 2, n)):
+        cells.setdefault(_pair_free(mask, pairs), ([], []))[0].append(r)
     zero_cols: list[int] = []
-    cols_by_label: dict[int, list[int]] = {}
     for c, mask in enumerate(_label_masks(k, n)):
-        label = mask  # its pair-free part
-        for pair, _ in pairs:
-            if mask & pair == pair:
-                label ^= pair
+        label = _pair_free(mask, pairs)
         if label == mask:
             zero_cols.append(c)
         else:
-            cols_by_label.setdefault(label, []).append(c)
+            cells.setdefault(label, ([], []))[1].append(c)
 
-    row_index = {t: r for r, t in enumerate(index_tuples(k - 2, 2 * n))}
     blocks = []
     weight = 0
-    for label, members in row_partition(n, k):
-        j = (k - len(label)) // 2
+    for label, (rows, cols) in cells.items():
+        j = (k - label.bit_count()) // 2
         a = n - k + j + 1
-        rows = tuple(row_index[member] for member in members)
-        cols = tuple(cols_by_label.get(sum(1 << (e - 1) for e in label), ()))
         family = fractal_matrix(a, j)
         if (len(rows), len(cols)) != (family.rows, family.cols) or any(
                 adj[r] != tuple(map(cols.__getitem__, row))
                 for r, row in zip(rows, family.row_adj)):
-            raise AssertionError(f"the block at cell {label} is not A({a}, {j})")
+            cell = tuple(e + 1 for e in range(2 * n) if label >> e & 1)
+            raise AssertionError(f"the block at cell {cell} is not A({a}, {j})")
         weight += family.weight
-        blocks.append(Block(rows, cols, (a, j)))
-    blocks.sort(key=lambda block: block.rows[0])
+        blocks.append(Block(tuple(rows), tuple(cols), (a, j)))
     zero_rows = tuple(r for r, w in enumerate(support.row_weights()) if not w)
 
     if weight != support.weight:

@@ -81,6 +81,10 @@ class TestFractalCommand:
     ["fractal", "--k", "30", "--ell", "30"],
     ["plucker", "--n", "14", "--k", "14"],
     ["incidence", "--n", "40", "--k", "40"],
+    # sides within the limit, ones past it
+    ["fractal", "--k", "13", "--ell", "13"],
+    ["plucker", "--n", "13", "--k", "13"],
+    ["incidence", "--n", "28", "--k", "20"],
 ])
 def test_size_limit_is_usage_error(argv, capsys):
     assert main(argv) == 2

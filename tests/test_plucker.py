@@ -9,7 +9,7 @@ import pytest
 
 from isofractal import cli, plucker
 from isofractal.bitmatrix import BinaryMatrix, bipartite_components
-from isofractal.combinat import index_tuples, pair_free_part, partner
+from isofractal.combinat import index_tuples, pair_free_part, partner, row_partition
 from isofractal.fractal import fractal_matrix
 from isofractal.gf import PrimeField, kernel_basis, rref
 from isofractal.plucker import (
@@ -24,7 +24,7 @@ def sparse(w):
     return tuple((j, v) for j, v in enumerate(w) if v)
 
 
-# sha256 of the `decompose --out` text for every 2 <= k <= n <= 7
+# sha256 of the `decompose --out` text for every 2 <= k <= n <= 9
 REPORT_SHA256 = {
     (2, 2): "890b2533dd130ee62e4d73e8ae80fe0d4d91898031648e0ff46b079d87c9b6cf",
     (3, 2): "91dc0eb1c325ae8a5d0e70a8ae62a0a334052250eb5e991d9cb5bb278e80c375",
@@ -47,6 +47,21 @@ REPORT_SHA256 = {
     (7, 5): "d63af2d09bb337f285532a0b2a389a6b5db517a877b2142a861640b658dfd8c6",
     (7, 6): "d89e3bf3eb1b9f9c604b6249a89b35f4acfbee851bf3f7879bf41844383236bc",
     (7, 7): "3e439ea15c8eddc3dd88e99717f2ead9137c5d2e2d66d1dcbd5d6bdf821aa022",
+    (8, 2): "6c56d7ef9f779bbd7a37045737340cbdcef9c5ef937d66e1ca947c24fad8e249",
+    (8, 3): "7b12164f0f3a92c6a438f61f09895603fb72ceed2a4e7f037b4296fefd06f61b",
+    (8, 4): "94db5f5054207d0d4960b1eafd949992a7f52466f46dc2d6a314ab987b272ff7",
+    (8, 5): "ede12f5edd8cc781695cb588470c1ad75b941bf06f3103ea63d977bc63d5663d",
+    (8, 6): "d00842fe452b440a0d6e16de1d5c983eab1b4a619bc5e076fe52412d8dcb00ec",
+    (8, 7): "bf663e932506da282de8d82becb1835167a7130ccefd48bc9ebe68479afc3361",
+    (8, 8): "e30844dd3e750771bde2200f2cbdae35cdc37b111dfd3125e55945b7392860dc",
+    (9, 2): "09ca4726d2e0b7a230a439e2636cb962c6a9d946dd413815c0584d879c02c82d",
+    (9, 3): "32a43f60d5c678f61183782d2411c2accbf9d076c1a418656f128e7aa59e1311",
+    (9, 4): "cb84385e0e3a8e13a36bed6d50ee36abb4cfd5e73569e92bdd7e6262136bf56c",
+    (9, 5): "70a4caca146447be8d4853ebe22b8432c4f5817467acf381696afe41c7899cb4",
+    (9, 6): "9733a590d8b2a61496419f5946ab70a175db2e5481cb27829e293da3f31cce34",
+    (9, 7): "c57f16fbee387063242fd367da7f40a4e7b1380386d1fa4a563920ac7dae11e1",
+    (9, 8): "805d6be3cacc6cbb6eabae7211b717b621e3585ccfd22fad9cb5713dbabfc9eb",
+    (9, 9): "c01fb985be09f800651aad5d1cfbaa6b778667efb4b68e0f1146fa87efd50cee",
 }
 
 
@@ -364,6 +379,20 @@ class TestDecompose:
             assert weight == pm.support.weight
             assert [b.rows[0] for b in report.blocks] == sorted(b.rows[0] for b in report.blocks)
 
+    def test_blocks_are_the_cells_of_the_row_partition(self):
+        # the tuple-labelled partition is the reference for the bitmask cells
+        for n in range(2, 9):
+            for k in range(2, n + 1):
+                labels = index_tuples(k - 2, 2 * n)
+                cells = {}
+                for block in decompose(n, k).blocks:
+                    members = tuple(labels[r] for r in block.rows)
+                    label = pair_free_part(members[0], n)
+                    j = (k - len(label)) // 2
+                    assert block.fractal == (n - k + j + 1, j), (n, k, label)
+                    cells[label] = members
+                assert cells == dict(row_partition(n, k)), (n, k)
+
     def test_every_family_member_is_one_component(self):
         # with the component route in test_bitmatrix, this is why a block is a component
         for a in range(1, 12):
@@ -391,11 +420,13 @@ class TestDecompose:
         assert set(payload) == {"n", "k", "blocks", "zero_rows", "zero_columns", "flags"}
         assert all(set(b) == {"rows", "cols", "fractal"} for b in payload["blocks"])
 
-    def test_dropped_cell_is_an_error(self, monkeypatch):
-        # a cell without a block leaves its rows and columns uncovered
-        cells = plucker.row_partition
-        monkeypatch.setattr(plucker, "row_partition", lambda n, k: cells(n, k)[1:])
-        with pytest.raises(AssertionError):
+    def test_row_in_another_cell_is_an_error(self, monkeypatch):
+        # row (1, 2), the first, sorted into the cell of (1, 3): that block
+        # has a row too many and the cell of (1, 2) none
+        pair_free = plucker._pair_free
+        monkeypatch.setattr(plucker, "_pair_free", lambda mask, pairs:
+                            0b101 if mask == 0b11 else pair_free(mask, pairs))
+        with pytest.raises(AssertionError, match=r"^the block at cell \(1, 3\) is not A\(2, 1\)$"):
             decompose(4, 4)
 
     @pytest.mark.parametrize("n,k", [(4, 4), (5, 4)])

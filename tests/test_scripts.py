@@ -1,6 +1,7 @@
 """Smoke tests: each survey script runs at its smallest setting and prints a known line."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ def test_decomposition_survey():
     assert any(
         line.startswith("(n=3, k=3)  6 x A(2,1); 8 zero columns;"
                         " kernel dim 14 over GF(2), 14 over GF(3)  [decompose ")
-        and ", kernel " in line
+        and re.search(r"\[decompose \d+\.\d\ds, peak \d+\.\d\d MB, kernel \d+\.\d\ds\]$", line)
         for line in lines
     )
 
