@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Count rational points three ways: closed form, kernel search, subspace oracle.
 
+Each instance gets one line; a last line counts, per route, the instances on
+which it found ``expected_count`` points and, where both routes ran, the same
+set: ``oracle a/b, kernel route c/b`` (the oracle left out under
+``--skip-oracle``).
+
 ``--admitted`` instead prints, one ``n,k,q`` per line and without building
 anything, every instance that the held-point limit admits, so that its output
 can feed ``--instances``.  The grid search over n, k and prime q stops because
@@ -74,17 +79,25 @@ def main() -> None:
             print(f"{n},{k},{q}")
         return
 
-    for triple in args.instances.split():
+    instances = args.instances.split()
+    oracle_right = kernel_right = 0
+    for triple in instances:
         n, k, q = (int(x) for x in triple.split(","))
         expected = expected_count(n, k, q)
         found, text = run_route(rational_points, n, k, q, args.budget)
         line = f"(n={n}, k={k}, q={q})  closed form {expected}; kernel search {text}"
+        oracle, agree = None, True
         if not args.skip_oracle:
             oracle, text = run_route(oracle_points, n, k, q, args.budget)
             line += f"; oracle {text}"
             if found is not None and oracle is not None:
-                line += f" sets {'agree' if oracle.points == found.points else 'DIFFER'}"
+                agree = oracle.points == found.points
+                line += f" sets {'agree' if agree else 'DIFFER'}"
+        oracle_right += oracle is not None and oracle.count == expected and agree
+        kernel_right += found is not None and found.count == expected and agree
         print(line)
+    summary = f"kernel route {kernel_right}/{len(instances)}"
+    print(summary if args.skip_oracle else f"oracle {oracle_right}/{len(instances)}, {summary}")
 
 
 if __name__ == "__main__":

@@ -45,25 +45,15 @@ from .plucker import (
 
 __version__ = "0.1.0"
 
-# without it `from isofractal import *` would skip the names not yet resolved;
-# the submodules the package has always imported stay in it
-__all__ = [
-    "BinaryMatrix", "Block", "BudgetExceededError", "DEFAULT_BUDGET",
-    "DecompositionReport", "FieldMatrix", "IndexTuple", "ParseError", "PermutationPair",
-    "PluckerMatrix", "PointSet", "PrimeField", "bipartite_components", "contraction",
-    "decompose", "deserialize", "expected_count", "fractal_matrix",
-    "fractal_matrix_blockwise", "incidence_matrix", "index_tuples", "kernel_basis",
-    "oracle_points", "pair_free_part", "permutation_equivalent", "plucker_matrix",
-    "quadratic_relations", "rational_points", "row_partition", "rref", "serialize",
-    "verify_configuration", "verify_fractal", "verify_incidence_fractal_match",
-    "bitmatrix", "combinat", "fractal", "gf", "incidence", "plucker", "variety",
-]
+# variety and the names it exports here resolve on first access (PEP 562)
+_LAZY = ("BudgetExceededError", "DEFAULT_BUDGET", "PointSet", "expected_count",
+         "oracle_points", "quadratic_relations", "rational_points", "variety")
+# without it `from isofractal import *` would skip them; the submodules stay in it
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
 
 
 def __getattr__(name: str):
-    # (PEP 562) of the names in __all__, only variety and the seven it exports
-    # are missing from globals() until variety loads
-    if name in __all__:
+    if name in _LAZY:
         from importlib import import_module
 
         # not `from . import variety`, which looks "variety" up here again

@@ -11,7 +11,8 @@ for the ascii text form.
 Besides the value type this module provides:
 
 * ``check_rows`` and ``MAX_DIMENSION``: the row check and the size limit that
-  ``gf.FieldMatrix`` and the matrix builders share,
+  ``gf.FieldMatrix`` and the matrix builders share, and ``check_size``, the
+  one check of every builder's parameters against that limit,
 * ``bipartite_components``: the connected components of the row/column
   incidence graph, the blocks of a block-diagonal matrix,
 * ``row_components``: the union-find behind ``bipartite_components``, over
@@ -33,6 +34,7 @@ Besides the value type this module provides:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,11 +49,28 @@ FORMATS = ("matrixmarket", "alist", "ascii")
 
 # Largest row or column count of any matrix the package reads or builds, and
 # largest count of ones of any it builds.  A MatrixMarket size line, or the
-# parameters of ``fractal_matrix``, ``plucker_matrix`` and ``incidence_matrix``,
-# fix what is allocated before any entry is read or set, so the bound keeps a
-# short file or a few small numbers from asking for gigabytes: A(10, 10) has
-# 923,780 ones and raises the peak RSS by 58 MB, A(12, 12) has 16,224,936.
+# parameters of the builders (checked by ``check_size``), fix what is allocated
+# before any entry is read or set, so the bound keeps a short file or a few
+# small numbers from asking for gigabytes: A(10, 10) has 923,780 ones and
+# raises the peak RSS by 58 MB, A(12, 12) has 16,224,936.
 MAX_DIMENSION = 2**24
+
+
+def check_size(what: str, *, rows: tuple[int, int], cols: tuple[int, int],
+               ones: tuple[int, int, int]) -> None:
+    """Raise ``ValueError`` when the matrix ``what`` would pass ``MAX_DIMENSION``.
+
+    ``rows`` and ``cols`` are pairs (n, r) standing for C(n, r), ``ones`` a
+    triple (f, n, r) standing for f * C(n, r).  The sides are checked before
+    the ones.  No count past the limit is computed, so any parameters are
+    refused at once, and the message names the limit, not the count.
+    """
+    for (f, n, r), part in (((1, *rows), "rows or columns"), ((1, *cols), "rows or columns"),
+                            (ones, "ones")):
+        m = min(r, n - r)
+        # C(n, m) >= 2**m, so a count this far past the limit is never computed
+        if m >= MAX_DIMENSION.bit_length() or f * math.comb(n, m) > MAX_DIMENSION:
+            raise ValueError(f"{what} has too many {part}, past the limit {MAX_DIMENSION}")
 
 
 def check_rows(rows: Iterable[Row], ncols: int) -> None:

@@ -44,6 +44,12 @@ def pair_free_part(t: IndexTuple, n: int) -> IndexTuple:
     return tuple(e for e in t if partner(e, n) not in supp)
 
 
+def check_domain(n: int, k: int) -> None:
+    """Raise ``ValueError`` unless 2 <= k <= n, the domain of the (n, k) system and its points."""
+    if not 2 <= k <= n:
+        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+
+
 def row_partition(n: int, k: int) -> tuple[tuple[IndexTuple, tuple[IndexTuple, ...]], ...]:
     """Group the (k-2)-tuples over [2n] by the pair-free part of their support.
 
@@ -53,8 +59,7 @@ def row_partition(n: int, k: int) -> tuple[tuple[IndexTuple, tuple[IndexTuple, .
     ordered by label size and then lexicographically, so cells sharing a
     free-entry count are grouped together.
     """
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    check_domain(n, k)
     cells: dict[IndexTuple, list[IndexTuple]] = {}
     for t in index_tuples(k - 2, 2 * n):
         cells.setdefault(pair_free_part(t, n), []).append(t)

@@ -2,9 +2,9 @@
 
 A(k, ell) is the (0,1)-matrix with k ones per row, ell per column, and
 dimensions C(k+ell-1, ell-1) x C(k+ell-1, ell).  A member is named by the
-plain pair (k, ell), which each builder checks against k, ell >= 1 and the
-size limit ``MAX_DIMENSION`` on its sides and its ones.  It is built here by
-two independent routes that must agree bit for bit:
+plain pair (k, ell), which each builder checks against k, ell >= 1 and (with
+``bitmatrix.check_size``) the size limit on its sides and its ones.  It is
+built here by two independent routes that must agree bit for bit:
 
 * the paste route: A(k, 1) is the 1 x k all-ones row, and A(k, ell) sets
   A(j, ell-1) with the identity under it side by side for j = k down to 1,
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .bitmatrix import MAX_DIMENSION, BinaryMatrix
+from .bitmatrix import BinaryMatrix, check_size
 
 # Entries kept by each memoized builder: verify --suite all plus the largest
 # emits hold 65 and 36, the whole decompose range 15, in one process.  With
@@ -41,13 +41,8 @@ _CACHE_SIZE = 128
 def _check_params(k: int, ell: int) -> None:
     if k < 1 or ell < 1:
         raise ValueError(f"need k >= 1 and ell >= 1, got k={k}, ell={ell}")
-    # C(k+ell-1, ell-1) rows and C(k+ell-1, ell) columns; the larger is this one
-    size = math.comb(k + ell - 1, min(k, ell))
-    if size > MAX_DIMENSION:
-        raise ValueError(f"A({k}, {ell}) has a side of {size}, past the limit {MAX_DIMENSION}")
-    ones = math.comb(k + ell - 1, ell - 1) * k  # k per row
-    if ones > MAX_DIMENSION:
-        raise ValueError(f"A({k}, {ell}) has {ones} ones, past the limit {MAX_DIMENSION}")
+    n = k + ell - 1
+    check_size(f"A({k}, {ell})", rows=(n, ell - 1), cols=(n, ell), ones=(k, n, ell - 1))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -19,12 +19,10 @@ entries) is the lexicographic order itself, so it needs no separate check.
 
 from __future__ import annotations
 
-import math
-
-from .bitmatrix import MAX_DIMENSION, BinaryMatrix
+from .bitmatrix import BinaryMatrix, check_size
 # Unused here; the benchmark's traced passes rebind this module attribute.
 from .bitmatrix import permutation_equivalent  # noqa: F401
-from .combinat import index_tuples
+from .combinat import check_domain, index_tuples
 from .fractal import fractal_matrix
 
 
@@ -37,19 +35,13 @@ def incidence_matrix(n: int, k: int) -> BinaryMatrix:
     ones are the extensions of its label by one element; only those are built.
     For even k this is the incidence matrix of the pair-tuple configuration:
     row i marks the one-pair extensions of the i-th (k-2)/2-tuple of pairs.
-    More than ``MAX_DIMENSION`` columns or ones raise ``ValueError`` before
-    any label is listed.
+    Sides or ones past the size limit raise ``ValueError``
+    (``bitmatrix.check_size``) before any label is listed.
     """
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if math.comb(n, k // 2) > MAX_DIMENSION:  # the column count; there are fewer rows
-        raise ValueError(f"the (n={n}, k={k}) incidence matrix has {math.comb(n, k // 2)} "
-                         f"columns, past the limit {MAX_DIMENSION}")
-    ones = math.comb(n, (k - 2) // 2) * (n - (k - 2) // 2)  # the rows times the row weight
-    if ones > MAX_DIMENSION:
-        raise ValueError(f"the (n={n}, k={k}) incidence matrix has {ones} ones, "
-                         f"past the limit {MAX_DIMENSION}")
+    check_domain(n, k)
     low = (k - 2) // 2
+    check_size(f"the (n={n}, k={k}) incidence matrix", rows=(n, low), cols=(n, low + 1),
+               ones=(n - low, n, low))
     row_labels = index_tuples(low, n)
     col_index = {b: j for j, b in enumerate(index_tuples(low + 1, n))}
     # extending a label by a larger element gives a lexicographically larger
@@ -69,8 +61,7 @@ def verify_configuration(n: int, k: int) -> dict:
     rows share a column exactly when their labels overlap in (k-4)/2 entries).
     Failures are report entries; the density is reported as a plain value.
     """
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    check_domain(n, k)
     if k % 2:
         raise ValueError(f"configuration checks need even k, got {k}")
     m = incidence_matrix(n, k)

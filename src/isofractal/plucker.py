@@ -38,11 +38,11 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .bitmatrix import MAX_DIMENSION, BinaryMatrix, check_rows
+from .bitmatrix import BinaryMatrix, check_rows, check_size
 # Unused here; the benchmark's traced passes rebind these module attributes.
 from .bitmatrix import bipartite_components, permutation_equivalent  # noqa: F401
 from .combinat import row_partition  # noqa: F401
-from .combinat import index_tuples, partner
+from .combinat import check_domain, index_tuples, partner
 from .fractal import fractal_matrix
 from .gf import FieldMatrix, FieldVector, PrimeField, SparseRow
 
@@ -138,20 +138,14 @@ def plucker_matrix(n: int, k: int, signed: bool = False) -> PluckerMatrix:
     its label and a column's sign is the row sign times the reordering sign
     of any entry in it: (-1)**(the row's indices between the pair's two
     members), which has the parity of the row's indices below the one plus
-    those below the other.  Every other sign is +1.  More than
-    ``MAX_DIMENSION`` columns or ones raise ``ValueError`` before any label is
-    listed.
+    those below the other.  Every other sign is +1.  Sides or ones past the
+    size limit raise ``ValueError`` (``bitmatrix.check_size``) before any label
+    is listed; there is one per basis pair and row label missing it.
     """
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    check_domain(n, k)
+    check_size(f"the (n={n}, k={k}) system", rows=(2 * n, k - 2), cols=(2 * n, k),
+               ones=(n, 2 * n - 2, k - 2))
     ncols = math.comb(2 * n, k)
-    if ncols > MAX_DIMENSION:  # there are fewer rows
-        raise ValueError(f"the (n={n}, k={k}) system has {ncols} columns, "
-                         f"past the limit {MAX_DIMENSION}")
-    ones = n * math.comb(2 * n - 2, k - 2)  # a basis pair and a row label missing it
-    if ones > MAX_DIMENSION:
-        raise ValueError(f"the (n={n}, k={k}) system has {ones} ones, "
-                         f"past the limit {MAX_DIMENSION}")
     col_index = dict(zip(_label_masks(k, n), range(ncols)))
     pairs = _basis_pairs(n)
     rows, row_signs, col_signs = [], [], [1] * ncols

@@ -37,11 +37,12 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, product
 
 import numpy as np
 
-from .combinat import IndexTuple, index_tuples
+from .combinat import IndexTuple, check_domain, index_tuples
 from .gf import FieldMatrix, FieldVector, PrimeField, SparseRow, kernel_basis, rref
 from .plucker import plucker_matrix
 
@@ -83,8 +84,7 @@ def quadratic_relations(n: int, k: int) -> list[tuple[IndexTuple, IndexTuple]]:
 
     Each is a pair (alpha, beta) of a (k-1)-tuple and a (k+1)-tuple.
     """
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    check_domain(n, k)
     return [(alpha, beta)
             for alpha in index_tuples(k - 1, 2 * n)
             for beta in index_tuples(k + 1, 2 * n)]
@@ -265,8 +265,7 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
     it meets v); then :class:`BudgetExceededError` when q**d exceeds the
     budget.
     """
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    check_domain(n, k)
     if budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget}")
     if (q - 1) ** 3 >= 2**63:
@@ -336,12 +335,20 @@ def _wedge_minors(bases: np.ndarray, q: int) -> np.ndarray:
     _, k, m = bases.shape
     minors = np.ones((len(bases), 1), dtype=np.int64)
     for i in range(k):
-        below = {cols: r for r, cols in enumerate(combinations(range(m), i))}
-        cols = list(combinations(range(m), i + 1))
-        rest = [[below[s[:t] + s[t + 1:]] for t in range(i + 1)] for s in cols]
-        signs = (-1) ** (i + np.arange(i + 1))
-        minors = bases[:, i, np.array(cols)] * minors[:, np.array(rest)] @ signs % q
+        cols, rest, signs = _laplace_table(i, m)
+        minors = bases[:, i, cols] * minors[:, rest] @ signs % q
     return minors
+
+
+@lru_cache(maxsize=64)
+def _laplace_table(i: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row i of ``_wedge_minors``: the (i + 1)-subsets s of the m columns, the
+    index of each s less s_t among the i-subsets, and (-1)**(i + t), for t <= i.
+    """
+    below = {cols: r for r, cols in enumerate(combinations(range(m), i))}
+    cols = list(combinations(range(m), i + 1))
+    rest = [[below[s[:t] + s[t + 1:]] for t in range(i + 1)] for s in cols]
+    return np.array(cols), np.array(rest), (-1) ** (i + np.arange(i + 1))
 
 
 _CHUNK = 256  # bases per minor pass; a whole cell at once tripled the traced peak at (4, 3, 2)
@@ -386,8 +393,7 @@ def oracle_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Point
     is built; then the point set is refused as by ``rational_points`` when it
     would pass ``MAX_HELD_COORDINATES``.
     """
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    check_domain(n, k)
     if budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget}")
     if 2 * n * (q - 1) ** 2 >= 2**63:

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from collections import deque
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isofractal import fractal, incidence, plucker
 from isofractal.bitmatrix import (
     FORMATS,
     MAX_DIMENSION,
@@ -14,6 +16,7 @@ from isofractal.bitmatrix import (
     ParseError,
     PermutationPair,
     bipartite_components,
+    check_size,
     deserialize,
     permutation_equivalent,
     serialize,
@@ -246,6 +249,49 @@ class TestBinaryMatrix:
             M("10", "01").submatrix([0, 1], [1, 1])
         with pytest.raises(ValueError):
             M("10", "01").submatrix([0, 0], [0, 1])
+
+
+class TestCheckSize:
+    def test_matches_the_exact_counts(self):
+        # past r = 24 on both sides the count is bounded below, not computed
+        for n in range(64):
+            for r in range(n + 1):
+                for f in (1, 3, 1000):
+                    past = f * math.comb(n, r) > MAX_DIMENSION
+                    try:
+                        check_size("M", rows=(1, 0), cols=(1, 1), ones=(f, n, r))
+                    except ValueError:
+                        refused = True
+                    else:
+                        refused = False
+                    assert refused == past, (f, n, r)
+
+    def test_sides_then_ones(self):
+        with pytest.raises(ValueError) as err:
+            check_size("M", rows=(1, 0), cols=(10**6, 5 * 10**5), ones=(10**6, 10**6, 5 * 10**5))
+        assert str(err.value) == f"M has too many rows or columns, past the limit {MAX_DIMENSION}"
+        with pytest.raises(ValueError) as err:
+            check_size("M", rows=(2, 1), cols=(2, 1), ones=(MAX_DIMENSION, 2, 1))
+        assert str(err.value) == f"M has too many ones, past the limit {MAX_DIMENSION}"
+
+    def test_boundary_of_the_builders(self):
+        fractal._check_params(12, 12)  # 16,224,936 ones
+        with pytest.raises(ValueError, match=r"^A\(13, 13\) has too many ones, past the limit"):
+            fractal._check_params(13, 13)  # 67,603,900 ones, sides within the limit
+        with pytest.raises(ValueError, match=r"^the \(n=14, k=14\) system has too many rows "
+                                             r"or columns, past the limit"):
+            plucker_matrix(14, 14)
+
+    def test_checked_before_any_label_is_listed(self, monkeypatch):
+        def listed(*args):
+            raise AssertionError("a label was listed")
+
+        monkeypatch.setattr(plucker, "_label_masks", listed)
+        monkeypatch.setattr(incidence, "index_tuples", listed)
+        with pytest.raises(ValueError, match="past the limit"):
+            plucker_matrix(14, 14)
+        with pytest.raises(ValueError, match="past the limit"):
+            incidence.incidence_matrix(40, 40)
 
 
 class TestStackIdentityBelow:

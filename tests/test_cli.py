@@ -85,10 +85,20 @@ class TestFractalCommand:
     ["fractal", "--k", "13", "--ell", "13"],
     ["plucker", "--n", "13", "--k", "13"],
     ["incidence", "--n", "28", "--k", "20"],
+    # counts past the int-to-str digit limit, or too costly to compute at all
+    ["fractal", "--k", "8000", "--ell", "8000"],
+    ["incidence", "--n", "40000", "--k", "20000"],
+    ["fractal", "--k", "1000000", "--ell", "1000000"],
+    ["plucker", "--n", "1000000", "--k", "500000"],
+    ["incidence", "--n", "4000000", "--k", "2000000"],
 ])
 def test_size_limit_is_usage_error(argv, capsys):
+    started = time.perf_counter()
     assert main(argv) == 2
-    assert f"past the limit {2**24}" in capsys.readouterr().err
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert f"past the limit {2**24}" in err
+    assert "integer string conversion" not in err
 
 
 def test_fractal_cache_counts(tmp_path):
