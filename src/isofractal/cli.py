@@ -21,6 +21,7 @@ command with exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -262,14 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     fractal.add_argument("--ell", type=int, required=True, help="ones per column")
     fractal.add_argument("--format", choices=FORMATS, default="ascii")
     fractal.add_argument("--out", default=None, help="output path (default stdout)")
-    fractal.set_defaults(func=_cmd_fractal)
 
     incidence = sub.add_parser("incidence", help="emit a containment incidence matrix")
     incidence.add_argument("--n", type=int, required=True)
     incidence.add_argument("--k", type=int, required=True)
     incidence.add_argument("--format", choices=FORMATS, default="ascii")
     incidence.add_argument("--out", default=None)
-    incidence.set_defaults(func=_cmd_incidence)
 
     plucker = sub.add_parser("plucker", help="emit the linear-system matrix")
     plucker.add_argument("--n", type=int, required=True)
@@ -278,13 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit signed coefficients (matrixmarket only)")
     plucker.add_argument("--format", choices=FORMATS, default="matrixmarket")
     plucker.add_argument("--out", default=None)
-    plucker.set_defaults(func=_cmd_plucker)
 
     decomp = sub.add_parser("decompose", help="emit the block-structure report")
     decomp.add_argument("--n", type=int, required=True)
     decomp.add_argument("--k", type=int, required=True)
     decomp.add_argument("--out", default=None)
-    decomp.set_defaults(func=_cmd_decompose)
 
     points = sub.add_parser("points", help="enumerate rational points")
     points.add_argument("--n", type=int, required=True)
@@ -297,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     points.add_argument("--out", default=None, help="points file (default stdout)")
     points.add_argument("--summary-out", default=None,
                         help="summary JSON path (default stdout)")
-    points.set_defaults(func=_cmd_points)
 
     verify = sub.add_parser("verify", help="run an invariant suite")
     verify.add_argument("--suite", choices=["fractal", "incidence", "plucker",
@@ -305,16 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=None, help="report JSON path (default stdout)")
     verify.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized consistency checks")
-    verify.set_defaults(func=_cmd_verify)
 
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name at each call, so a rebound _cmd_* is the one run
+        return globals()[f"_cmd_{args.command}"](args)
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1

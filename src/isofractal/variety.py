@@ -5,9 +5,11 @@ Two independent routes produce the same point set:
 * ``rational_points``: solve the linear system, reduce the kernel basis to
   echelon form in coordinate order, pull every quadratic exchange relation
   back on the sparse echelon rows to a sparse form in its coefficients,
-  reduce the forms to echelon form, and search them level by level, each
-  form evaluated once per partial assignment as g + v*h + u*v**2 in the next
-  coefficient v and only the survivors kept,
+  reduce the forms to echelon form, and search them level by level: each
+  reduced form is tested at the level of its highest variable, from a table
+  of the monomials that level's forms use, evaluated once per partial
+  assignment as g + v*h + u*v**2 in the next coefficient v, and only the
+  survivors kept,
 * ``oracle_points``: for each pivot set, build the reduced echelon bases of
   the isotropic k-dimensional subspaces level by level, the same shape as the
   kernel search: a numpy frontier of partial bases grows by one echelon row
@@ -34,7 +36,7 @@ coordinates.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -224,13 +226,41 @@ def _collect(cells: Iterator[tuple[int, np.ndarray]], what: str) -> frozenset[Fi
     return frozenset(points)
 
 
-def _dense(rows: tuple[SparseRow, ...], ncols: int) -> np.ndarray:
-    """Sparse ``(column, residue)`` rows as a dense int64 array."""
+def _entries(rows: Sequence[SparseRow]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row, column and residue of every entry of sparse rows, as int64 arrays."""
     cols, values = np.fromiter(chain.from_iterable(chain.from_iterable(rows)),
                                dtype=np.int64).reshape(-1, 2).T
-    dense = np.zeros((len(rows), ncols), dtype=np.int64)
-    dense[np.repeat(np.arange(len(rows)), [len(row) for row in rows]), cols] = values
-    return dense
+    return np.repeat(np.arange(len(rows)), [len(row) for row in rows]), cols, values
+
+
+def _level_tables(reduced: tuple[SparseRow, ...], form_pivots: tuple[int, ...],
+                  d: int) -> list[tuple[np.ndarray, ...]]:
+    """Per level b, the reduced forms tested there as (first, second, g, h, u).
+
+    A reduced form's pivot monomial holds its highest variable c_b, and no
+    other of its monomials goes past b, so it is tested at level b.  Only the
+    monomials the level's forms use are held, one column per form: g has one
+    row per monomial c_i c_j with i <= j < b, whose variables are the index
+    arrays first and second; h has one row per a < b, for c_a c_b; and u holds
+    the coefficient of c_b**2.
+    """
+    first, second = _monomials(d)
+    by_level: list[list[SparseRow]] = [[] for _ in range(d)]
+    for pivot, row in zip(form_pivots, reduced):
+        by_level[second[pivot]].append(row)
+    tables = []
+    for level, rows in enumerate(by_level):
+        form, cols, values = _entries(rows)
+        below = second[cols] < level
+        # not np.unique, whose first call adds about 0.5 MB resident under numpy 2.4
+        monomials = np.array(sorted(set(cols[below].tolist())), dtype=np.int64)
+        g = np.zeros((len(monomials), len(rows)), dtype=np.int64)
+        g[np.searchsorted(monomials, cols[below]), form[below]] = values[below]
+        # the others are c_a c_level, a <= level: the last row of h is u
+        h = np.zeros((level + 1, len(rows)), dtype=np.int64)
+        h[first[cols[~below]], form[~below]] = values[~below]
+        tables.append((first[monomials], second[monomials], g, h[:-1], h[-1]))
+    return tables
 
 
 def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> PointSet:
@@ -238,16 +268,18 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
 
     The d kernel vectors are reduced to echelon form by coordinate order, and
     the relations, pulled back on those rows to forms in their coefficients,
-    to an echelon basis of forms, each keyed to the first level (coefficient)
-    that sets all its variables.  Both stay sparse ``(column, residue)`` rows
-    up to the search, which densifies the basis and the reduced forms.  For
-    each lead, fixed to 1 with the coefficients before it 0, a frontier holds
-    the coefficients from the lead up to the level.  On a row extended by v,
-    a form keyed to the level is g + v*h + u*v**2: g the form on the row, h
-    its part linear in v, u its diagonal constant.  Each form is evaluated
-    once per row, and only the (row, v) pairs on which every form vanishes
-    are kept.  ``examined`` counts the rows built: before each level, the
-    frontier rows times the values of the level's coefficient.
+    to an echelon basis of forms.  Both stay sparse ``(column, residue)``
+    rows; each reduced form is tested at the level of its highest variable,
+    from one table per level of the monomials its forms use
+    (``_level_tables``).  For each lead, fixed to 1 with the coefficients
+    before it 0, a frontier holds the coefficients up to the level, zeros
+    before the lead.  On a row extended by v, a form tested at the level is
+    g + v*h + u*v**2: g the form on the row, h its part linear in v, u the
+    coefficient of v**2.  Each form is evaluated once per row, and only the
+    (row, v) pairs on which every form vanishes are kept; the survivors of
+    the last level, times the echelon basis, are the lead's points.
+    ``examined`` counts the rows built: before each level, the frontier rows
+    times the values of the level's coefficient.
 
     A combination led by coefficient i is 1 at pivot i and zero before it, so
     the points come out normalized and distinct; the collector checks both
@@ -261,9 +293,9 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
     :class:`BudgetExceededError` (a composite q is a ``ValueError`` there).
     Last, once the system is built and d is known: ``ValueError`` unless
     d*d*(q - 1)**3 < 2**63, since the largest int64 intermediate, g on the
-    frontier, sums at most d*d products below q**3 (h is reduced mod q before
-    it meets v); then :class:`BudgetExceededError` when q**d exceeds the
-    budget.
+    frontier, sums at most d*(d + 1)/2 products below q**3 (h is reduced mod
+    q before it meets v); then :class:`BudgetExceededError` when q**d exceeds
+    the budget.
     """
     check_domain(n, k)
     if budget < 1:
@@ -286,29 +318,24 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
     ncols = math.comb(2 * n, k)
     pivots, echelon = rref(FieldMatrix(field, kernel, ncols))
     forms = _pullback_forms(quadratic_relations(n, k), echelon, n, k, q)
-    first, second = _monomials(d)
-    form_pivots, reduced = rref(FieldMatrix(field, forms, len(first)))
-    # the pivots ascend and the monomials descend, so the keys descend: reverse
-    keys = second[list(form_pivots)][::-1]
-    upper = np.zeros((len(keys), d, d), dtype=np.int64)
-    upper[:, first, second] = _dense(reduced[::-1], len(first))
-    basis = _dense(echelon, ncols)
-    bounds = np.searchsorted(keys, np.arange(d + 1))
+    form_pivots, reduced = rref(FieldMatrix(field, forms, d * (d + 1) // 2))
+    tables = _level_tables(reduced, form_pivots, d)
+    row, col, residue = _entries(echelon)
+    basis = np.zeros((d, ncols), dtype=np.int64)
+    basis[row, col] = residue
 
     examined = 0
 
     def cells() -> Iterator[tuple[int, np.ndarray]]:
         nonlocal examined
         for lead in range(d):
-            frontier = np.zeros((1, 0), dtype=np.int64)
+            frontier = np.zeros((1, lead), dtype=np.int64)
             for level in range(lead, d):
                 values = np.arange(q) if level > lead else np.ones(1, dtype=np.int64)
                 examined += len(frontier) * len(values)
-                level_forms = upper[bounds[level]: bounds[level + 1],
-                                    lead: level + 1, lead: level + 1]
-                g = np.einsum("pa,rab,pb->pr", frontier, level_forms[:, :-1, :-1], frontier) % q
-                h = frontier @ level_forms[:, :-1, -1].T % q
-                u = level_forms[:, -1, -1]
+                first, second, g_coeffs, h_coeffs, u = tables[level]
+                g = (frontier[:, first] * frontier[:, second]) @ g_coeffs % q
+                h = frontier @ h_coeffs % q
                 vanish = ~((g[:, None, :] + values[:, None] * h[:, None, :]
                             + values[:, None] ** 2 * u) % q).any(axis=2)
                 parent, child = np.nonzero(vanish)
@@ -316,7 +343,7 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
                 if not len(frontier):
                     break
             else:
-                yield pivots[lead], frontier @ basis[lead:] % q
+                yield pivots[lead], frontier @ basis % q
 
     points = _collect(cells(), "kernel combinations")
     return PointSet(n=n, k=k, q=q, points=points, examined=examined)

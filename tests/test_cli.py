@@ -180,6 +180,15 @@ class TestDecomposeCommand:
             main(["decompose", "--n", "3", "--k", "3", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_command_rebound_after_a_call_is_run(self, tmp_path, monkeypatch):
+        # main builds its parser once; the command is looked up at each call
+        argv = ["decompose", "--n", "2", "--k", "2", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        calls = []
+        monkeypatch.setattr(cli, "_cmd_decompose", lambda args: calls.append(args.n) or 7)
+        assert main(argv) == 7
+        assert calls == [2]
+
 
 @pytest.mark.parametrize("argv", [["decompose", "--n", "3", "--k", "2"],
                                   ["verify", "--suite", "plucker"]], ids=" ".join)

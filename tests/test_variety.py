@@ -670,3 +670,14 @@ def test_routes_agree_on_the_admitted_domain():
         assert oracle_points(n, k, q, budget=DEFAULT_BUDGET).points == found.points, (n, k, q)
         assert found.count == expected_count(n, k, q), (n, k, q)
     assert accepted == KERNEL_ACCEPTED
+
+
+@pytest.mark.parametrize("n,k,q,count,rows", [(3, 3, 5, 19_656, 538_754),
+                                              (4, 3, 2, 11_475, 1_384_086)])
+def test_kernel_route_past_the_default_budget(n, k, q, count, rows):
+    # d = 14 and d = 48: q**d passes DEFAULT_BUDGET, so only a lifted budget
+    # reaches the search on kernels this wide
+    found = rational_points(n, k, q, budget=2**64)
+    assert found.count == expected_count(n, k, q) == count
+    assert found.points == oracle_points(n, k, q).points
+    assert found.examined == rows
