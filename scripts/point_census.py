@@ -3,8 +3,11 @@
 
 Each instance gets one line; a last line counts, per route, the instances on
 which it found ``expected_count`` points and, where both routes ran, the same
-set: ``oracle a/b, kernel route c/b`` (the oracle left out under
-``--skip-oracle``).
+points, compared cell by cell: ``oracle a/b, kernel route c/b`` (the oracle
+left out under ``--skip-oracle``).  Each route of each instance runs in a
+process of its own, so the peak resident memory printed beside its time, the
+VmHWM of Linux's /proc/self/status, is that route's alone, the interpreter and
+numpy included.
 
 ``--admitted`` instead prints, one ``n,k,q`` per line and without building
 anything, every instance that the held-point limit admits, so that its output
@@ -18,6 +21,7 @@ more than (n, n).
 """
 
 import argparse
+import multiprocessing
 import time
 from itertools import count
 
@@ -31,6 +35,12 @@ from isofractal import (
 from isofractal.variety import _refuse_held_points
 
 
+def peak_mb() -> float:
+    """This process's peak resident memory, VmHWM, in MB."""
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+
+
 def run_route(route, n: int, k: int, q: int, budget: int):
     """One route's point set, or None if it refused, and its report."""
     started = time.perf_counter()
@@ -40,7 +50,13 @@ def run_route(route, n: int, k: int, q: int, budget: int):
         found, text = None, f"refused ({refusal})"
     else:
         text = f"{found.count} of {found.examined} nodes"
-    return found, f"{text} [{time.perf_counter() - started:.2f}s]"
+    return found, f"{text} [{time.perf_counter() - started:.2f}s, peak {peak_mb():.1f} MB]"
+
+
+def run_alone(pool_context, *args):
+    """``run_route`` in a fresh process, which exits once it returns."""
+    with pool_context.Pool(1) as pool:
+        return pool.apply(run_route, args)
 
 
 def admitted():
@@ -80,18 +96,19 @@ def main() -> None:
         return
 
     instances = args.instances.split()
+    spawn = multiprocessing.get_context("spawn")
     oracle_right = kernel_right = 0
     for triple in instances:
         n, k, q = (int(x) for x in triple.split(","))
         expected = expected_count(n, k, q)
-        found, text = run_route(rational_points, n, k, q, args.budget)
+        found, text = run_alone(spawn, rational_points, n, k, q, args.budget)
         line = f"(n={n}, k={k}, q={q})  closed form {expected}; kernel search {text}"
         oracle, agree = None, True
         if not args.skip_oracle:
-            oracle, text = run_route(oracle_points, n, k, q, args.budget)
+            oracle, text = run_alone(spawn, oracle_points, n, k, q, args.budget)
             line += f"; oracle {text}"
             if found is not None and oracle is not None:
-                agree = oracle.points == found.points
+                agree = oracle.same_points(found)
                 line += f" sets {'agree' if agree else 'DIFFER'}"
         oracle_right += oracle is not None and oracle.count == expected and agree
         kernel_right += found is not None and found.count == expected and agree

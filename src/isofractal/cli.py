@@ -145,11 +145,10 @@ def _cmd_points(args: argparse.Namespace) -> int:
     }
     if args.oracle:
         oracle = oracle_points(args.n, args.k, args.q, budget=args.budget)
-        agree = oracle.points == result.points
+        agree = oracle.same_points(result)
         summary["oracle"] = {"count": oracle.count, "match": agree}
         summary["match"] = summary["match"] and agree
-    lines = [" ".join(map(str, point)) for point in sorted(result.points)]
-    _write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
+    _write_text(args.out, result.text())
     _write_text(args.summary_out, _json_text(summary))
     return 0 if summary["match"] else 1
 
@@ -225,7 +224,7 @@ def _suite_points() -> list[dict]:
         found = rational_points(n, k, q)
         oracle = oracle_points(n, k, q)
         expected = expected_count(n, k, q)
-        passed = found.count == expected and found.points == oracle.points
+        passed = found.count == expected and found.same_points(oracle)
         checks.append({
             "name": f"points-n{n}-k{k}-q{q}",
             "passed": passed,

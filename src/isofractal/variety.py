@@ -25,7 +25,8 @@ Two independent routes produce the same point set:
   level is built.
 
 Both hand their points a cell at a time to one collector, which checks that
-they are normalized and distinct, and both count the rows their search builds.
+they are normalized and distinct and holds each cell as one sorted array of
+small unsigned integers, and both count the rows their search builds.
 
 ``expected_count`` evaluates the closed-form cardinality, which both routes
 must reproduce.  It also sizes the point set up front: both routes refuse an
@@ -49,12 +50,12 @@ from .gf import FieldMatrix, FieldVector, PrimeField, SparseRow, kernel_basis, r
 from .plucker import plucker_matrix
 
 DEFAULT_BUDGET = 1 << 25
-# Both routes return each point as a tuple of C(2n, k) coordinates in a set.
-# Until points are held as arrays, the limit bounds coordinates, not bytes:
-# the cost per coordinate grows as points get shorter.  oracle_points(2, 2,
-# 173) is admitted with 31.2M coordinates in points of 6 and peaks at
-# 1,233 MB VmHWM, 41 bytes per coordinate.  (5, 5, 2) holds 19.1M
-# coordinates, (5, 2, 3) would hold 1.09G.
+# Both routes hold each point as C(2n, k) coordinates in a per-cell array of
+# np.min_scalar_type(q - 1), one byte each for every admitted q, so the limit
+# bounds the held points to 32 MB.  The search's own scratch memory is not
+# bounded by it: oracle_points(2, 2, 173) is admitted with 31.2M coordinates
+# and peaks at 144 MB VmHWM.  (5, 5, 2) holds 19.1M coordinates, (5, 2, 3)
+# would hold 1.09G.
 MAX_HELD_COORDINATES = 1 << 25
 
 
@@ -114,23 +115,67 @@ def _relation_terms(
     return terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """Normalized projective points found, plus the work done to find them.
 
+    ``cells`` holds the points as ``(column, rows)`` pairs, one for each
+    coordinate at which some point has its first nonzero, in descending
+    column order: the order of the points file.  ``rows`` is a read-only
+    C-contiguous array of dtype ``np.min_scalar_type(q - 1)``, one point a
+    row, its rows strictly increasing in lexicographic order.  ``points``
+    builds the set of tuples from the cells on each read.
+
     ``examined`` counts the rows the search built: coefficient rows for
     ``rational_points``, echelon rows (search nodes) for ``oracle_points``.
+    Two point sets are equal when n, k, q, ``examined`` and every cell are;
+    ``same_points`` compares the cells alone.
     """
 
     n: int
     k: int
     q: int
-    points: frozenset[FieldVector]
+    cells: tuple[tuple[int, np.ndarray], ...]
     examined: int
 
     @property
     def count(self) -> int:
-        return len(self.points)
+        return sum(len(rows) for _, rows in self.cells)
+
+    @property
+    def points(self) -> frozenset[FieldVector]:
+        return frozenset(chain.from_iterable(map(tuple, rows.tolist()) for _, rows in self.cells))
+
+    def same_points(self, other: PointSet) -> bool:
+        """Whether both hold the same points: the same columns, with equal arrays."""
+        return len(self.cells) == len(other.cells) and all(
+            column == other_column and np.array_equal(rows, other_rows)
+            for (column, rows), (other_column, other_rows) in zip(self.cells, other.cells))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        return ((self.n, self.k, self.q, self.examined)
+                == (other.n, other.k, other.q, other.examined) and self.same_points(other))
+
+    def text(self) -> str:
+        """The points file: one point a line, its residues separated by spaces.
+
+        Each residue is written once, to a table of ``str(v) + " "`` padded
+        with NULs to one width; each cell indexes it, the last separator of
+        each row becomes a newline, and the NULs are dropped.
+        """
+        width = len(str(self.q - 1)) + 1
+        table = np.frombuffer(b"".join(f"{v} ".encode().ljust(width, b"\0")
+                                       for v in range(self.q)), dtype=np.uint8)
+        table = table.reshape(self.q, width)
+        parts = []
+        for _, rows in self.cells:
+            chars = table[rows]
+            last = chars[:, -1]
+            last[last == ord(" ")] = ord("\n")
+            parts.append(chars.tobytes().replace(b"\0", b""))
+        return b"".join(parts).decode("ascii")
 
 
 def expected_count(n: int, k: int, q: int) -> int:
@@ -189,8 +234,8 @@ def _pullback_forms(relations: list[tuple[IndexTuple, IndexTuple]],
 def _refuse_held_points(n: int, k: int, q: int) -> None:
     """Refuse an instance whose point set alone would pass MAX_HELD_COORDINATES.
 
-    Both routes return every point as a tuple of C(2n, k) coordinates, and
-    every instance has a point, so C(2n, k) alone is a lower bound on the
+    Both routes hold every point as C(2n, k) coordinates, and every instance
+    has a point, so C(2n, k) alone is a lower bound on the
     coordinates held: past the limit the instance is refused at once.  Else
     the closed form gives the point count, before any work is done.  q is
     checked to be prime first, so a composite q is a ``ValueError`` either way.
@@ -206,24 +251,55 @@ def _refuse_held_points(n: int, k: int, q: int) -> None:
             limit="the held-coordinate limit MAX_HELD_COORDINATES")
 
 
-def _collect(cells: Iterator[tuple[int, np.ndarray]], what: str) -> frozenset[FieldVector]:
-    """The points of every cell as tuples, once each is 0 before its cell's column and 1 at it.
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row as one bytes key, the keys ordered as the rows are lexicographically.
 
-    A cell is a lead of the kernel route, or a slice of a pivot set of the
-    oracle.  The points must also be distinct; either check failing raises
-    ``ArithmeticError``.
+    Big-endian unsigned values compare as their bytes do, one by one; numpy
+    ignores trailing NULs in a key, but NUL is the smallest byte, so the
+    order holds.
     """
-    points: set[FieldVector] = set()
-    found = 0
+    big_endian = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    return big_endian.view(f"S{big_endian.shape[1] * big_endian.itemsize}").ravel()
+
+
+def _sorted_cell(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """rows in lexicographic order, sorted only if neighbours are not, and how many are distinct."""
+    keys = _row_keys(rows)
+    if (keys[1:] < keys[:-1]).any():
+        rows = rows[np.lexsort(rows.T[::-1])]
+        keys = _row_keys(rows)
+    return rows, len(rows) - int(np.count_nonzero(keys[1:] == keys[:-1]))
+
+
+def _collect(cells: Iterator[tuple[int, np.ndarray]], what: str,
+             q: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """The cells of a ``PointSet``, from one batch per cell by ascending column.
+
+    A cell is a lead of the kernel route, or a pivot set of the oracle.  Each
+    point must be 0 before its cell's column and 1 at it, and the points must
+    be distinct; either check failing raises ``ArithmeticError``.  Each batch
+    is cast to ``np.min_scalar_type(q - 1)`` once checked, and sorted only if
+    its neighbours are out of lexicographic order.  The cells are disjoint
+    by column, so equal neighbours are the only repeated points; a column
+    that does not follow the one before also raises.
+    """
+    held: list[tuple[int, np.ndarray]] = []
+    found = distinct = 0
     for column, rows in cells:
         if rows[:, :column].any() or (rows[:, column] != 1).any():
             raise ArithmeticError(f"{what} gave a point whose first nonzero is not 1 "
                                   f"at coordinate {column}")
+        if held and column <= held[-1][0]:
+            raise ArithmeticError(f"{what} gave a cell at coordinate {column} "
+                                  f"after one at {held[-1][0]}")
+        rows, unique = _sorted_cell(np.ascontiguousarray(rows, dtype=np.min_scalar_type(q - 1)))
         found += len(rows)
-        points.update(map(tuple, rows.tolist()))
-    if len(points) != found:
-        raise ArithmeticError(f"{found} {what} gave {len(points)} points")
-    return frozenset(points)
+        distinct += unique
+        rows.flags.writeable = False
+        held.append((column, rows))
+    if distinct != found:
+        raise ArithmeticError(f"{found} {what} gave {distinct} points")
+    return tuple(reversed(held))
 
 
 def _entries(rows: Sequence[SparseRow]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -334,19 +410,22 @@ def rational_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Poi
                 values = np.arange(q) if level > lead else np.ones(1, dtype=np.int64)
                 examined += len(frontier) * len(values)
                 first, second, g_coeffs, h_coeffs, u = tables[level]
-                g = (frontier[:, first] * frontier[:, second]) @ g_coeffs % q
-                h = frontier @ h_coeffs % q
-                vanish = ~((g[:, None, :] + values[:, None] * h[:, None, :]
-                            + values[:, None] ** 2 * u) % q).any(axis=2)
-                parent, child = np.nonzero(vanish)
+                if len(u):
+                    g = (frontier[:, first] * frontier[:, second]) @ g_coeffs % q
+                    h = frontier @ h_coeffs % q
+                    vanish = ~((g[:, None, :] + values[:, None] * h[:, None, :]
+                                + values[:, None] ** 2 * u) % q).any(axis=2)
+                    parent, child = np.nonzero(vanish)
+                else:  # no form is tested here: every row takes every value
+                    parent, child = np.divmod(np.arange(len(frontier) * len(values)), len(values))
                 frontier = np.column_stack([frontier[parent], values[child]])
                 if not len(frontier):
                     break
             else:
                 yield pivots[lead], frontier @ basis % q
 
-    points = _collect(cells(), "kernel combinations")
-    return PointSet(n=n, k=k, q=q, points=points, examined=examined)
+    held = _collect(cells(), "kernel combinations", q)
+    return PointSet(n=n, k=k, q=q, cells=held, examined=examined)
 
 
 def _wedge_minors(bases: np.ndarray, q: int) -> np.ndarray:
@@ -356,14 +435,20 @@ def _wedge_minors(bases: np.ndarray, q: int) -> np.ndarray:
     columns s_0 < ... < s_i is the sum over t of (-1)**(i + t) times the entry
     of row i at s_t times the minor of rows 0..i-1 on the other columns.  Each
     level reads the C(m, i) minors of the level before through one index
-    table and is reduced mod q once, so no intermediate passes (i + 1) *
-    (q - 1)**2, which the caller keeps below 2**63.
+    table, adds its i + 1 terms one t at a time, so no (bases x C(m, i + 1) x
+    (i + 1)) product is built, and is reduced mod q once, so no intermediate
+    passes (i + 1) * (q - 1)**2, which the caller keeps below 2**63.
     """
     _, k, m = bases.shape
     minors = np.ones((len(bases), 1), dtype=np.int64)
     for i in range(k):
         cols, rest, signs = _laplace_table(i, m)
-        minors = bases[:, i, cols] * minors[:, rest] @ signs % q
+        level = np.zeros((len(bases), len(cols)), dtype=np.int64)
+        for t, sign in enumerate(signs.tolist()):
+            term = sign * minors[:, rest[:, t]]
+            term *= bases[:, i, cols[:, t]]
+            level += term
+        minors = level % q
     return minors
 
 
@@ -378,7 +463,22 @@ def _laplace_table(i: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(cols), np.array(rest), (-1) ** (i + np.arange(i + 1))
 
 
-_CHUNK = 256  # bases per minor pass; a whole cell at once tripled the traced peak at (4, 3, 2)
+def _minor_cell(bases: np.ndarray, ncols: int, q: int) -> np.ndarray:
+    """The ``ncols`` minors of every basis, computed in int64 slices of
+    ``_CHUNK // ncols`` bases and written into one array of the bases' dtype.
+    """
+    cell = np.empty((len(bases), ncols), dtype=bases.dtype)
+    step = max(1, _CHUNK // ncols)
+    for start in range(0, len(bases), step):
+        cell[start: start + step] = _wedge_minors(bases[start: start + step].astype(np.int64), q)
+    return cell
+
+
+# minors per pass of _wedge_minors, the width of its largest int64 level:
+# 128 bases a pass kept the traced peak of oracle_points(4, 3, 2) at 1.42
+# times the points held, 4096 minors (73 bases) at 1.25, and passes of 128
+# bases took 2.4 s at (2, 2, 173), of 4096 minors (682 bases) 1.5 s
+_CHUNK = 4096
 
 
 def oracle_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> PointSet:
@@ -402,12 +502,14 @@ def oracle_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Point
       basis and sets each such c_j at once to -w[c_j] * (w . row).  The
       earlier rows with c_j < p_i vanish on row i's cells.
 
-    The complete bases of a pivot set go through ``_wedge_minors`` in slices
-    of ``_CHUNK``, giving all C(2n, k) minors in lexicographic column order.
-    An echelon basis has pivot minor 1 and zero minors before it, so its minor
-    vector is already normalized at the pivot set's own coordinate.  Each
-    slice is a cell of the collector, which checks that, and that the
-    distinct subspaces gave distinct points: either failing raises
+    The frontier holds residues in ``np.min_scalar_type(q - 1)``; the pairing
+    is summed in int64.  The complete bases of a pivot set go through
+    ``_wedge_minors`` in int64 slices of ``_CHUNK`` minors, giving all C(2n, k)
+    minors in lexicographic column order, written into one array per pivot
+    set.  An echelon basis has pivot minor 1 and zero minors before it, so its
+    minor vector is already normalized at the pivot set's own coordinate.
+    Each pivot set is a cell of the collector, which checks that, and that
+    the distinct subspaces gave distinct points: either failing raises
     ``ArithmeticError``.
 
     ``examined`` counts the search nodes, that is the accepted echelon rows at
@@ -428,38 +530,47 @@ def oracle_points(n: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> Point
                          f"2n*(q-1)**2 < 2**63, here n={n}")
     _refuse_held_points(n, k, q)  # validates primality
     m = 2 * n
+    ncols = math.comb(m, k)
     sign = np.repeat([-1, 1], n)
+    dtype = np.min_scalar_type(q - 1)
     examined = 0
 
-    def cells() -> Iterator[tuple[int, np.ndarray]]:
+    def isotropic_bases(pivots: tuple[int, ...]) -> np.ndarray:
+        """The reduced echelon bases, pivoting at ``pivots``, of the isotropic subspaces."""
         nonlocal examined
-        for column, pivots in enumerate(combinations(range(m), k)):
-            if any(m - 1 - p in pivots for p in pivots):
-                continue
-            bases = np.zeros((1, 0, m), dtype=np.int64)
-            for i, pivot in enumerate(pivots):
-                solved = [(j, m - 1 - p) for j, p in enumerate(pivots[:i]) if m - 1 - p > pivot]
-                fixed = set(pivots) | {c for _, c in solved}
-                free = [c for c in range(pivot + 1, m) if c not in fixed]
-                batch = len(bases) * q ** len(free)
-                if examined + batch > budget:
-                    raise BudgetExceededError(
-                        required=examined + batch, budget=budget,
-                        what=(f"isotropic subspace search for (n={n}, k={k}, q={q}), "
-                              f"stopped at echelon row {i + 1} of {k},"))
-                values = np.array(list(product(range(q), repeat=len(free))), dtype=np.int64)
-                grown = np.zeros((len(bases), len(values), i + 1, m), dtype=np.int64)
-                grown[:, :, :i] = bases[:, None]
-                grown[:, :, i, pivot] = 1
-                grown[:, :, i, free] = values
-                for j, c in solved:
-                    w = bases[:, j, ::-1] * sign
-                    pairing = np.einsum("pc,pvc->pv", w, grown[:, :, i])
-                    grown[:, :, i, c] = -w[:, None, c] * pairing % q
-                bases = grown.reshape(-1, i + 1, m)
-                examined += len(bases)
-            for start in range(0, len(bases), _CHUNK):
-                yield column, _wedge_minors(bases[start: start + _CHUNK], q)
+        bases = np.zeros((1, 0, m), dtype=dtype)
+        for i, pivot in enumerate(pivots):
+            solved = [(j, m - 1 - p) for j, p in enumerate(pivots[:i]) if m - 1 - p > pivot]
+            fixed = set(pivots) | {c for _, c in solved}
+            free = [c for c in range(pivot + 1, m) if c not in fixed]
+            batch = len(bases) * q ** len(free)
+            if examined + batch > budget:
+                raise BudgetExceededError(
+                    required=examined + batch, budget=budget,
+                    what=(f"isotropic subspace search for (n={n}, k={k}, q={q}), "
+                          f"stopped at echelon row {i + 1} of {k},"))
+            values = np.array(list(product(range(q), repeat=len(free))), dtype=dtype)
+            grown = np.zeros((len(bases), len(values), i + 1, m), dtype=dtype)
+            grown[:, :, :i] = bases[:, None]
+            grown[:, :, i, pivot] = 1
+            grown[:, :, i, free] = values
+            for j, c in solved:
+                w = bases[:, j, ::-1] * sign
+                pairing = np.einsum("pc,pvc->pv", w, grown[:, :, i], dtype=np.int64)
+                # in place: a frontier-sized int64 temporary took 45 MB at (2, 2, 173)
+                pairing *= -w[:, None, c]
+                pairing %= q
+                grown[:, :, i, c] = pairing
+            bases = grown.reshape(-1, i + 1, m)
+            examined += len(bases)
+        return bases
 
-    points = _collect(cells(), "isotropic subspaces")
-    return PointSet(n=n, k=k, q=q, points=points, examined=examined)
+    # nothing here holds a pivot set's bases once its minors are computed, nor
+    # its cell once the collector has it: that search scratch and the unsorted
+    # cell would otherwise live beside the next pivot set's search or the
+    # collector's sorted copy
+    cells = ((column, _minor_cell(isotropic_bases(pivots), ncols, q))
+             for column, pivots in enumerate(combinations(range(m), k))
+             if not any(m - 1 - p in pivots for p in pivots))
+    held = _collect(cells, "isotropic subspaces", q)
+    return PointSet(n=n, k=k, q=q, cells=held, examined=examined)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shlex
@@ -318,6 +319,29 @@ class TestPointsCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "error: internal check failed:" in err and "first nonzero" in err
+
+    @pytest.mark.parametrize("fault", ["drop a point", "change a coordinate"])
+    def test_routes_that_differ_exit_one(self, fault, tmp_path, monkeypatch):
+        route = cli.oracle_points
+
+        def faulty(*args, **kwargs):
+            result = route(*args, **kwargs)
+            (column, rows), *rest = result.cells
+            if fault == "drop a point":
+                rows = rows[:-1]
+            else:
+                rows = rows.copy()
+                rows[-1, -1] = (rows[-1, -1] + 1) % result.q
+            return dataclasses.replace(result, cells=((column, rows), *rest))
+
+        monkeypatch.setattr(cli, "oracle_points", faulty)
+        summary_path = tmp_path / "summary.json"
+        code = main(["points", "--n", "2", "--k", "2", "--q", "3", "--oracle",
+                     "--out", str(tmp_path / "pts.txt"), "--summary-out", str(summary_path)])
+        assert code == 1
+        summary = json.loads(summary_path.read_text())
+        assert summary["match"] is False and summary["oracle"]["match"] is False
+        assert summary["oracle"]["count"] == (39 if fault == "drop a point" else 40)
 
     def test_failed_kernel_check_exits_one(self, tmp_path, monkeypatch, capsys):
         # every echelon form doubled: the reduced forms keep their zeros, and

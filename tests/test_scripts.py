@@ -43,6 +43,8 @@ def test_point_census():
     assert lines[0].startswith("(n=2, k=2, q=2)  closed form 15; kernel search 15 of 57 nodes")
     assert "; oracle 15 of 26 nodes [" in lines[0]
     assert lines[0].endswith("sets agree")
+    # each route runs in its own process and reports that process's peak RSS
+    assert len(re.findall(r" nodes \[\d+\.\d\ds, peak \d+\.\d MB\]", lines[0])) == 2
     assert lines[1] == "oracle 1/1, kernel route 1/1"
     assert run_script("point_census.py", "--instances", "2,2,2 2,2,3",
                       "--skip-oracle")[-1] == "kernel route 2/2"

@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -401,6 +402,69 @@ class TestRationalPoints:
         assert found.count == expected_count(4, 2, 2) == 5355
         assert oracle.examined == 6004
         assert found.points == oracle.points
+
+
+class TestCells:
+    @pytest.mark.parametrize("route", [rational_points, oracle_points])
+    @pytest.mark.parametrize("n,k,q", [(3, 3, 3), (3, 2, 3)])
+    def test_sorted_arrays_by_descending_column(self, route, n, k, q):
+        result = route(n, k, q)
+        columns = [column for column, _ in result.cells]
+        assert columns == sorted(set(columns), reverse=True)
+        listed = []
+        for column, rows in result.cells:
+            assert rows.dtype == np.min_scalar_type(q - 1) == np.uint8
+            assert rows.ndim == 2 and rows.flags.c_contiguous and not rows.flags.writeable
+            points = [tuple(row) for row in rows.tolist()]
+            assert all(a < b for a, b in zip(points, points[1:]))
+            assert {next(i for i, x in enumerate(point) if x) for point in points} == {column}
+            listed += points
+        assert result.count == len(listed) == len(result.points) == expected_count(n, k, q)
+        assert result.points == frozenset(listed)
+
+    @pytest.mark.parametrize("n,k,q", REFERENCE_INSTANCES + [(3, 3, 5), (4, 2, 2)])
+    def test_kernel_cells_arrive_sorted(self, n, k, q, monkeypatch):
+        # the basis is in reduced echelon form, so the coefficient rows, built
+        # in lexicographic order, give their points in lexicographic order
+        collect = variety._collect
+        arrived = []
+
+        def watched(cells, what, q):
+            for column, rows in cells:
+                points = [tuple(row) for row in rows.tolist()]
+                arrived.append(points == sorted(points))
+                yield column, rows
+
+        monkeypatch.setattr(variety, "_collect",
+                            lambda cells, what, q: collect(watched(cells, what, q), what, q))
+        rational_points(n, k, q, budget=2**64)
+        assert arrived and all(arrived)
+
+    @pytest.mark.parametrize("q", [13, 101])
+    def test_text_is_the_sorted_points_joined(self, q):
+        # residues of two and three digits: the table pads them with NULs
+        result = oracle_points(2, 2, q)
+        assert result.text() == "".join(" ".join(map(str, point)) + "\n"
+                                        for point in sorted(result.points))
+
+    def test_equality_compares_fields_and_cells(self):
+        found, oracle = rational_points(2, 2, 3), oracle_points(2, 2, 3)
+        assert found == rational_points(2, 2, 3) and oracle == oracle_points(2, 2, 3)
+        assert found.same_points(oracle) and found != oracle  # examined differs
+        (column, rows), *rest = oracle.cells
+        assert not oracle.same_points(replace(oracle, cells=((column, rows[:-1]), *rest)))
+        assert oracle != replace(oracle, cells=tuple(rest))
+
+    def test_wide_residues_sort_by_value(self):
+        # past q = 256 a residue takes two bytes, whose little-endian order is not their value's
+        rows = np.array([[1, 256, 0], [1, 1, 7], [1, 1, 7]], dtype=np.uint16)
+        ordered, distinct = variety._sorted_cell(rows)
+        assert ordered.tolist() == sorted(rows.tolist()) and distinct == 2
+
+    def test_repeated_column_is_an_error(self):
+        rows = np.array([[1, 0, 0, 0, 0, 0]])
+        with pytest.raises(ArithmeticError, match="cell at coordinate 0 after one at 0"):
+            variety._collect(iter([(0, rows), (0, rows)]), "cells", 2)
 
 
 def det_mod(rows, p):
