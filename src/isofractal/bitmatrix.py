@@ -162,7 +162,8 @@ class BinaryMatrix:
         """Induced submatrix on distinct indices; index order gives the new order.
 
         Walks the selected rows only, so a slice costs the ones of its own
-        rows, not the weight of the whole matrix.  Indices outside the matrix
+        rows, not the weight of the whole matrix; a row that meets no kept
+        column is passed over in one set test.  Indices outside the matrix
         raise ``IndexError``, repeated ones ``ValueError``.
         """
         if row_indices and not (0 <= min(row_indices) and max(row_indices) < self.rows):
@@ -172,8 +173,9 @@ class BinaryMatrix:
         cmap = {c: j for j, c in enumerate(col_indices)}
         if len(cmap) != len(col_indices) or len(set(row_indices)) != len(row_indices):
             raise ValueError("repeated row or column indices")
-        adj = self.row_adj
-        kept = [tuple(cmap[c] for c in adj[r] if c in cmap) for r in row_indices]
+        adj, keys = self.row_adj, cmap.keys()
+        kept = [() if keys.isdisjoint(adj[r]) else tuple(cmap[c] for c in adj[r] if c in cmap)
+                for r in row_indices]
         if any(map(lt, col_indices[1:], col_indices)):
             kept = [tuple(sorted(row)) for row in kept]
         return BinaryMatrix(len(kept), len(cmap), tuple(kept))

@@ -11,7 +11,11 @@ verify     run an invariant suite and report pass/fail as JSON
 
 All file outputs are written atomically (temp file plus rename).  Matrix and
 report artifacts are byte-for-byte deterministic; only the points summary
-carries an elapsed-time field.  ``--budget`` on ``points`` bounds the
+carries an elapsed-time field.  JSON is written as ``json.dumps(indent=2,
+sort_keys=True)`` writes it, without its pure-Python encoder: the verify
+reports and points summaries by ``_json_text``, one join per container, and
+the decompose report by ``_decompose_text``, one join for the whole text
+built from the report's blocks.  ``--budget`` on ``points`` bounds the
 enumeration work (default ``DEFAULT_BUDGET``; below 1 it is a usage error,
 exit 2, raised by the routes themselves).  A failed internal
 check inside ``verify`` is a failed report entry; elsewhere it ends the
@@ -30,12 +34,13 @@ import sys
 import tempfile
 import time
 from json.encoder import encode_basestring_ascii
+from typing import Sequence
 
 from .bitmatrix import FORMATS, _signed_matrixmarket, serialize
 from .fractal import fractal_matrix, verify_fractal
 from .gf import PrimeField
 from .incidence import incidence_matrix, verify_configuration, verify_incidence_fractal_match
-from .plucker import contraction, decompose, plucker_matrix
+from .plucker import DecompositionReport, contraction, decompose, plucker_matrix
 from .variety import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -93,14 +98,47 @@ def _json_value(value: object, newline: str) -> str:
                  f"{_json_value(item, inner)}" for key, item in sorted(value.items()))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) == {int}:  # not bool, which json writes as true/false
+            return _json_ints(value, newline)
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:  # not bool, which json writes as true/false
-            items = map(str, value)
-        else:
-            items = (_json_value(item, inner) for item in value)
+        items = (_json_value(item, inner) for item in value)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
+
+
+def _json_ints(values: Sequence[int], newline: str) -> str:
+    """Plain ints as ``json`` writes their list with ``indent=2``, indented by ``newline``."""
+    if not values:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(str, values)) + newline + "]"
+
+
+def _decompose_text(report: DecompositionReport) -> str:
+    """``_json_text(report.to_json_dict())``, written from the report's fields in one join.
+
+    The keys come in sorted order.  Each block is one template filled with
+    its three lists of ints, and the zero lists go through :func:`_json_ints`;
+    the flags go through :func:`_json_value`, which quotes every string the
+    writers emit.
+    """
+    # a block's lists hold their ints 8 spaces deep, and an empty one is []
+    block = '\n    {\n      "cols": [%s],\n      "fractal": [%s],\n      "rows": [%s]\n    },'
+    items = ",\n        ".join
+    parts = ['{\n  "blocks": [']
+    for b in report.blocks:
+        cols, fractal, rows = b.cols, b.fractal, b.rows
+        parts.append(block % (f"\n        {items(map(str, cols))}\n      " if cols else "",
+                              f"\n        {items(map(str, fractal))}\n      " if fractal else "",
+                              f"\n        {items(map(str, rows))}\n      " if rows else ""))
+    if report.blocks:
+        parts[-1] = parts[-1][:-1] + "\n  "  # no comma after the last block
+    parts += ('],\n  "flags": ', _json_value(list(report.flags), "\n  "),
+              f',\n  "k": {report.k},\n  "n": {report.n},\n  "zero_columns": ',
+              _json_ints(report.zero_columns, "\n  "),
+              ',\n  "zero_rows": ', _json_ints(report.zero_rows, "\n  "), "\n}\n")
+    return "".join(parts)
 
 
 def _cmd_fractal(args: argparse.Namespace) -> int:
@@ -127,8 +165,7 @@ def _cmd_plucker(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    report = decompose(args.n, args.k)
-    _write_text(args.out, _json_text(report.to_json_dict()))
+    _write_text(args.out, _decompose_text(decompose(args.n, args.k)))
     return 0
 
 

@@ -20,23 +20,24 @@ The system and its block structure are built on bitmask labels (index e at
 bit e - 1): a pair meets a label when the masks share a bit, and the
 reordering sign is the parity of the label's indices between the pair's two
 members.  ``decompose`` groups the row and column labels by their pair-free
-parts, one block per pair-free row label, and checks each block against its
-member of the recursive family row by row:
-each support row of the block must be the member's row carried onto the
-block's columns, which makes the block equal to the member bit for bit and
-leaves no one of the row outside it.  There is no component search, no
-equivalence search and no per-block submatrix.  A block names its member by
-the plain pair (k, ell).
+parts, read off a bit-reversal table in O(1) per label, one block per
+pair-free row label, and checks each block against its member of the
+recursive family: each support row of the block must be the member's row
+carried onto the block's columns, which makes the block equal to the member
+bit for bit and leaves no one of the row outside it.  There is no component
+search, no equivalence search and no per-block submatrix.  A block names its
+member by the plain pair (k, ell).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .bitmatrix import BinaryMatrix, check_rows, check_size
 # Unused here; the benchmark's traced passes rebind these module attributes.
@@ -104,12 +105,24 @@ def _basis_pairs(n: int) -> list[tuple[int, int]]:
             for e in range(n)]
 
 
-def _pair_free(mask: int, pairs: list[tuple[int, int]]) -> int:
-    """``mask`` less each basis pair of ``pairs`` (:func:`_basis_pairs`) it holds whole."""
-    for pair, _ in pairs:
-        if mask & pair == pair:
-            mask ^= pair
-    return mask
+@lru_cache(maxsize=16)
+def _bit_reversal(n: int) -> tuple[int, ...]:
+    """Every n-bit value with its n bits in reverse order, indexed by the value."""
+    return tuple(int(f"{v:0{n}b}"[::-1], 2) for v in range(1 << n))
+
+
+def _pair_free_parts(masks: Iterable[int], n: int) -> Iterator[tuple[int, int]]:
+    """Pair each label mask over [2n] with its pair-free part: the mask less its whole basis pairs.
+
+    Bit e and bit 2n-1-e hold the basis pair {e+1, 2n-e}.  Reversing the high
+    half of a mask carries bit 2n-1-e onto bit e, so ``whole`` below has bit
+    e set exactly when the mask holds both members of that pair, and
+    reversing ``whole`` back onto the high half clears the other members.
+    """
+    low, rev = (1 << n) - 1, _bit_reversal(n)
+    for mask in masks:
+        whole = mask & low & rev[mask >> n]
+        yield mask, mask ^ (whole | rev[whole] << n)
 
 
 def _label_sign(mask: int, pairs: list[tuple[int, int]]) -> int:
@@ -290,15 +303,18 @@ def decompose(n: int, k: int) -> DecompositionReport:
     """Build the block structure of the support from the labels and check it.
 
     Labels are bitmasks throughout.  The rows and the columns are grouped into
-    cells by the pair-free part of their label (:func:`_pair_free`), each in
-    lexicographic order, except that a column label that is its own pair-free
-    part is a zero column.  For the cell labelled S, with |S| = k - 2j and
-    j >= 1, the rows are S plus j - 1 whole pairs and the columns S plus j
-    whole pairs.  The block must have the shape of A = A(n - k + j + 1, j), and
-    row i of the cell, at support row r, must be row i of A carried onto the
-    block's columns: ``support.row_adj[r] == tuple(map(cols.__getitem__,
-    A.row_adj[i]))``.  That is the block equal to A bit for bit, and the row
-    holding no one outside the block's columns.  There must be
+    cells by the pair-free part of their label, streamed label by label from
+    a bit-reversal table (:func:`_pair_free_parts`), each in lexicographic
+    order, except that a column label that is its own pair-free part is a
+    zero column.  For the cell labelled S, with |S| = k - 2j and j >= 1, the
+    rows are S plus j - 1 whole pairs and the columns S plus j whole pairs.
+    The block must have the shape of A = A(n - k + j + 1, j), and the cell's
+    support rows, in order, must be the rows of A carried onto the block's
+    columns: ``[support.row_adj[r] for r in rows] ==
+    [tuple(map(cols.__getitem__, row)) for row in A.row_adj]``, one list
+    comparison per block.  That is the block equal to A bit for bit, and no
+    row holding a one outside the block's columns.  A cell with rows and no
+    columns, or columns and no rows, fails the shape check.  There must be
     C(n, k - 2j) * 2**(k - 2j) such blocks.  The block weights must add up to
     the support's weight, so every one lies in a block; the pair-free column
     labels, C(n, k) * 2**k of them, must hold no one.  Cells are made in the
@@ -312,17 +328,15 @@ def decompose(n: int, k: int) -> DecompositionReport:
     support = plucker_matrix(n, k, signed=False).support
     adj = support.row_adj
 
-    pairs = _basis_pairs(n)
-    cells: dict[int, tuple[list[int], list[int]]] = {}
-    for r, mask in enumerate(_label_masks(k - 2, n)):
-        cells.setdefault(_pair_free(mask, pairs), ([], []))[0].append(r)
+    cells: defaultdict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
+    for r, (_, label) in enumerate(_pair_free_parts(_label_masks(k - 2, n), n)):
+        cells[label][0].append(r)
     zero_cols: list[int] = []
-    for c, mask in enumerate(_label_masks(k, n)):
-        label = _pair_free(mask, pairs)
+    for c, (mask, label) in enumerate(_pair_free_parts(_label_masks(k, n), n)):
         if label == mask:
             zero_cols.append(c)
         else:
-            cells.setdefault(label, ([], []))[1].append(c)
+            cells[label][1].append(c)
 
     blocks = []
     weight = 0
@@ -330,9 +344,10 @@ def decompose(n: int, k: int) -> DecompositionReport:
         j = (k - label.bit_count()) // 2
         a = n - k + j + 1
         family = fractal_matrix(a, j)
-        if (len(rows), len(cols)) != (family.rows, family.cols) or any(
-                adj[r] != tuple(map(cols.__getitem__, row))
-                for r, row in zip(rows, family.row_adj)):
+        # the shape check comes first, so every member index falls inside cols
+        if (len(rows), len(cols)) != (family.rows, family.cols) or (
+                [adj[r] for r in rows]
+                != [tuple(map(cols.__getitem__, row)) for row in family.row_adj]):
             cell = tuple(e + 1 for e in range(2 * n) if label >> e & 1)
             raise AssertionError(f"the block at cell {cell} is not A({a}, {j})")
         weight += family.weight

@@ -230,6 +230,25 @@ class TestBinaryMatrix:
         assert BinaryMatrix.zero(3, 4).submatrix([2, 0], [3]) == BinaryMatrix.zero(2, 1)
         assert M("11").submatrix([], []) == BinaryMatrix.zero(0, 0)
 
+    def test_submatrix_rows_missing_the_kept_columns(self):
+        # unsorted columns; rows 0 and 3 meet none of them, rows 1 and 2 some
+        m = M("10001", "01110", "11011", "00001")
+        sub = m.submatrix([3, 0, 2, 1], [3, 1, 2])
+        assert sub.row_adj == ((), (), (0, 1), (0, 1, 2))
+        assert as_set(sub) == full_scan_submatrix(as_set(m), [3, 0, 2, 1], [3, 1, 2])
+
+    def test_submatrix_errors_when_every_row_misses_the_columns(self):
+        # every selected row misses the kept columns, so each is passed over
+        m = M("100", "100")
+        with pytest.raises(ValueError):
+            m.submatrix([0, 1], [2, 1, 2])
+        with pytest.raises(ValueError):
+            m.submatrix([1, 1], [2])
+        with pytest.raises(IndexError):
+            m.submatrix([0, 1], [2, 3])
+        with pytest.raises(IndexError):
+            m.submatrix([0, 2], [2])
+
     def test_submatrix_rejects_rows_out_of_range(self):
         with pytest.raises(IndexError):
             M("10", "01").submatrix([-1], [0])

@@ -14,7 +14,7 @@ from isofractal import cli, fractal, plucker, variety
 from isofractal.bitmatrix import BinaryMatrix
 from isofractal.combinat import index_tuples
 from isofractal.cli import build_parser, main
-from isofractal.plucker import decompose
+from isofractal.plucker import Block, DecompositionReport, decompose
 from isofractal.variety import DEFAULT_BUDGET
 from test_combinat import contraction_sign_oracle
 
@@ -418,6 +418,21 @@ class TestJsonText:
         for k in range(2, n + 1):
             payload = decompose(n, k).to_json_dict()
             assert cli._json_text(payload) == json_dumps_text(payload), (n, k)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_decompose_text_of_every_report(self, n):
+        for k in range(2, n + 1):
+            report = decompose(n, k)
+            assert cli._decompose_text(report) == json_dumps_text(report.to_json_dict()), (n, k)
+
+    @pytest.mark.parametrize("report", [
+        DecompositionReport(3, 2, (), (), (), ()),
+        DecompositionReport(5, 4, (Block((0, 4), (1, 2, 7), (2, 1)),), (1, 2, 3), (0,), ()),
+        DecompositionReport(2, 2, (Block((0,), (3,), (1, 1)), Block((), (), (2, 1))), (), (), ()),
+        DecompositionReport(4, 3, (), (9,), (), ('"', "\\", "\n", "é", "\u2028", 'a "b"\\c\n')),
+    ], ids=["no blocks", "zero rows, no flags", "empty block lists", "escaped flags"])
+    def test_decompose_text_of_built_reports(self, report):
+        assert cli._decompose_text(report) == json_dumps_text(report.to_json_dict())
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "all", "--seed", "0", "--out", "report.json"],

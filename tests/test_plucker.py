@@ -423,10 +423,21 @@ class TestDecompose:
     def test_row_in_another_cell_is_an_error(self, monkeypatch):
         # row (1, 2), the first, sorted into the cell of (1, 3): that block
         # has a row too many and the cell of (1, 2) none
-        pair_free = plucker._pair_free
-        monkeypatch.setattr(plucker, "_pair_free", lambda mask, pairs:
-                            0b101 if mask == 0b11 else pair_free(mask, pairs))
+        parts = plucker._pair_free_parts
+        monkeypatch.setattr(plucker, "_pair_free_parts", lambda masks, n: (
+            (mask, 0b101 if mask == 0b11 else part) for mask, part in parts(masks, n)))
         with pytest.raises(AssertionError, match=r"^the block at cell \(1, 3\) is not A\(2, 1\)$"):
+            decompose(4, 4)
+
+    @pytest.mark.parametrize("moved", [0b11, 0b1111], ids=["row (1, 2)", "column (1, 2, 3, 4)"])
+    def test_cell_with_one_side_only_is_an_error(self, moved, monkeypatch):
+        # one label sorted into the cell of (1, 8), a whole pair, which no
+        # label has as its pair-free part: a cell of rows and no columns, or
+        # (from the zero column (1, 2, 3, 4)) of columns and no rows
+        parts = plucker._pair_free_parts
+        monkeypatch.setattr(plucker, "_pair_free_parts", lambda masks, n: (
+            (mask, 0b10000001 if mask == moved else part) for mask, part in parts(masks, n)))
+        with pytest.raises(AssertionError, match=r"^the block at cell \(1, 8\) is not A\(2, 1\)$"):
             decompose(4, 4)
 
     @pytest.mark.parametrize("n,k", [(4, 4), (5, 4)])
@@ -459,3 +470,25 @@ class TestDecompose:
             decompose(10, 10)
         with pytest.raises(ValueError):
             decompose(3, 2 + 3)
+
+
+def pair_free_by_pairs(mask, n):
+    """``mask`` less each basis pair it holds whole, one pair at a time."""
+    for pair, _ in plucker._basis_pairs(n):
+        if mask & pair == pair:
+            mask ^= pair
+    return mask
+
+
+class TestPairFreeParts:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_mask(self, n):
+        masks = range(1 << 2 * n)
+        assert list(plucker._pair_free_parts(masks, n)) == [
+            (mask, pair_free_by_pairs(mask, n)) for mask in masks]
+
+    def test_sampled_masks_at_n9(self):
+        rng = random.Random(9)
+        masks = [rng.getrandbits(18) for _ in range(20000)] + [0, 2**18 - 1]
+        assert list(plucker._pair_free_parts(iter(masks), 9)) == [
+            (mask, pair_free_by_pairs(mask, 9)) for mask in masks]
