@@ -9,15 +9,18 @@ decompose  emit the block-structure report as JSON
 points     enumerate rational points, write them plus a JSON summary
 verify     run an invariant suite and report pass/fail as JSON
 
-All file outputs are written atomically (temp file plus rename).  Matrix and
-report artifacts are byte-for-byte deterministic; only the points summary
-carries an elapsed-time field.  JSON is written as ``json.dumps(indent=2,
-sort_keys=True)`` writes it, without its pure-Python encoder: the verify
-reports and points summaries by ``_json_text``, one join per container, and
-the decompose report by ``_decompose_text``, one join for the whole text
-built from the report's blocks.  ``--budget`` on ``points`` bounds the
-enumeration work (default ``DEFAULT_BUDGET``; below 1 it is a usage error,
-exit 2, raised by the routes themselves).  A failed internal
+All file outputs are written atomically (temp file plus rename), where and
+with the mode that ``open(path, "w")`` would write them: through symlinks to
+their targets, keeping an existing file's mode, and a new file's from the
+umask.  ``points`` refuses one regular file for both ``--out`` and
+``--summary-out`` (exit 2).  A standard output whose reader is gone ends the
+command with exit 1.  Matrix and report artifacts are byte-for-byte
+deterministic; only the points summary carries an elapsed-time field.  JSON is written by
+``json.dumps(indent=2, sort_keys=True)``; the decompose report, the one
+large JSON text, gets the same bytes from ``_decompose_text``, one join for
+the whole text built from the report's blocks.  ``--budget`` on ``points``
+bounds the enumeration work (default ``DEFAULT_BUDGET``; below 1 it is a
+usage error, exit 2, raised by the routes themselves).  A failed internal
 check inside ``verify`` is a failed report entry; elsewhere it ends the
 command with exit 1.
 """
@@ -30,10 +33,10 @@ import json
 import math
 import os
 import random
+import stat
 import sys
 import tempfile
 import time
-from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .bitmatrix import FORMATS, _signed_matrixmarket, serialize
@@ -52,59 +55,40 @@ from .variety import (
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone: what is left in the buffer would fail again at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
         return
     if os.path.exists(path) and not os.path.isfile(path):
         # devices, fifos: renaming over them would destroy them
         with open(path, "w") as handle:
             handle.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
+    real = os.path.realpath(path)  # through symlinks, to the file open() would write
+    if os.path.exists(real):
+        mode = stat.S_IMODE(os.stat(real).st_mode)
+    else:
+        umask = os.umask(0)  # the umask is read only by setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".isofractal-")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".isofractal-")
     except OSError as exc:
         # the error would name the temp file, which the user never asked for
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), mode)
             handle.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _json_text(payload: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\n"``, without its pure-Python encoder.
-
-    ``indent`` sends ``json.dumps`` to the encoder written in Python, one
-    call per value.  This writes each container with one join, a list of
-    plain ints through ``map(str, ...)``, a str through the quoting function
-    ``json`` itself uses, and every other leaf through ``json.dumps``; tuples
-    are written as lists, as ``json`` writes them.
-    """
-    return _json_value(payload, "\n") + "\n"
-
-
-def _json_value(value: object, newline: str) -> str:
-    """``value`` as ``json`` writes it with ``indent=2``, nested as deep as ``newline`` indents."""
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # json writes a key that is not a str as the quoted JSON text of the key
-        items = (f"{encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))}: "
-                 f"{_json_value(item, inner)}" for key, item in sorted(value.items()))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if set(map(type, value)) == {int}:  # not bool, which json writes as true/false
-            return _json_ints(value, newline)
-        if not value:
-            return "[]"
-        items = (_json_value(item, inner) for item in value)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
 
 
 def _json_ints(values: Sequence[int], newline: str) -> str:
@@ -116,12 +100,12 @@ def _json_ints(values: Sequence[int], newline: str) -> str:
 
 
 def _decompose_text(report: DecompositionReport) -> str:
-    """``_json_text(report.to_json_dict())``, written from the report's fields in one join.
+    """``json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"``, in one join.
 
     The keys come in sorted order.  Each block is one template filled with
     its three lists of ints, and the zero lists go through :func:`_json_ints`;
-    the flags go through :func:`_json_value`, which quotes every string the
-    writers emit.
+    the flags are ``json.dumps`` of their list, indented one level deeper
+    (exact, since json escapes every newline inside a string).
     """
     # a block's lists hold their ints 8 spaces deep, and an empty one is []
     block = '\n    {\n      "cols": [%s],\n      "fractal": [%s],\n      "rows": [%s]\n    },'
@@ -134,7 +118,7 @@ def _decompose_text(report: DecompositionReport) -> str:
                               f"\n        {items(map(str, rows))}\n      " if rows else ""))
     if report.blocks:
         parts[-1] = parts[-1][:-1] + "\n  "  # no comma after the last block
-    parts += ('],\n  "flags": ', _json_value(list(report.flags), "\n  "),
+    parts += ('],\n  "flags": ', json.dumps(list(report.flags), indent=2).replace("\n", "\n  "),
               f',\n  "k": {report.k},\n  "n": {report.n},\n  "zero_columns": ',
               _json_ints(report.zero_columns, "\n  "),
               ',\n  "zero_rows": ', _json_ints(report.zero_rows, "\n  "), "\n}\n")
@@ -170,6 +154,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_points(args: argparse.Namespace) -> int:
+    # the summary would replace the points; a device such as /dev/null takes both
+    if (args.out is not None and args.summary_out is not None
+            and os.path.realpath(args.out) == os.path.realpath(args.summary_out)
+            and (os.path.isfile(args.out) or not os.path.exists(args.out))):
+        raise ValueError(f"--out and --summary-out are the same file: {args.summary_out}")
     started = time.perf_counter()
     result = rational_points(args.n, args.k, args.q, budget=args.budget)
     elapsed = time.perf_counter() - started
@@ -186,7 +175,7 @@ def _cmd_points(args: argparse.Namespace) -> int:
         summary["oracle"] = {"count": oracle.count, "match": agree}
         summary["match"] = summary["match"] and agree
     _write_text(args.out, result.text())
-    _write_text(args.summary_out, _json_text(summary))
+    _write_text(args.summary_out, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0 if summary["match"] else 1
 
 
@@ -283,7 +272,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         checks.extend(suites[name]())
     passed = all(c["passed"] for c in checks)
     report = {"suite": args.suite, "passed": passed, "checks": checks}
-    _write_text(args.out, _json_text(report))
+    _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if passed else 1
 
 
@@ -351,6 +340,10 @@ def main(argv: list[str] | None = None) -> int:
         return globals()[f"_cmd_{args.command}"](args)
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError as exc:
+        # the reader of the output went away: the run failed, the usage was fine
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,17 +1,19 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shlex
+import stat
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from jsonschema import validate
 
 from isofractal import cli, fractal, plucker, variety
-from isofractal.bitmatrix import BinaryMatrix
+from isofractal.bitmatrix import BinaryMatrix, serialize
 from isofractal.combinat import index_tuples
 from isofractal.cli import build_parser, main
 from isofractal.plucker import Block, DecompositionReport, decompose
@@ -76,6 +78,47 @@ class TestFractalCommand:
         assert str(out) in err
         assert ".isofractal-" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+FRACTAL_3_2 = ["fractal", "--k", "3", "--ell", "2", "--out"]
+
+
+@pytest.fixture
+def umask_022():
+    """The process umask is 022 for one test, and what it was after."""
+    saved = os.umask(0o022)
+    yield
+    os.umask(saved)
+
+
+class TestOutputFile:
+    """An output is written where, and with the mode, that ``open(path, "w")`` would write it."""
+
+    @pytest.mark.parametrize("mask,mode", [(0o022, 0o644), (0o027, 0o640), (0o077, 0o600)],
+                             ids=["022", "027", "077"])
+    def test_new_file_mode_follows_the_umask(self, mask, mode, umask_022, tmp_path):
+        os.umask(mask)
+        out = tmp_path / "m.txt"
+        assert main([*FRACTAL_3_2, str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    def test_existing_file_keeps_its_mode(self, umask_022, tmp_path):
+        out = tmp_path / "m.txt"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert main([*FRACTAL_3_2, str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_text() != "old\n"
+
+    def test_symlink_writes_its_target(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        assert main([*FRACTAL_3_2, str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text() == serialize(fractal.fractal_matrix(3, 2), "ascii")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -361,6 +404,27 @@ class TestPointsCommand:
         assert "error: internal check failed:" in err and "first nonzero" in err
         assert not (tmp_path / "pts.txt").exists()
 
+    @pytest.mark.parametrize("link", [False, True], ids=["same name", "symlink"])
+    def test_one_file_for_both_outputs_is_usage_error(self, link, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("rational_points was called")
+
+        monkeypatch.setattr(cli, "rational_points", unreachable)
+        out = tmp_path / "s.txt"
+        summary = out
+        if link:
+            summary = tmp_path / "link.txt"
+            summary.symlink_to(out)
+        assert main(["points", "--n", "2", "--k", "2", "--q", "3",
+                     "--out", str(out), "--summary-out", str(summary)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out and --summary-out are the same file: {summary}\n")
+        assert not out.exists()
+
+    def test_one_device_for_both_outputs(self):
+        assert main(["points", "--n", "2", "--k", "2", "--q", "3",
+                     "--out", os.devnull, "--summary-out", os.devnull]) == 0
+
     def test_unsigned_is_not_an_option(self):
         with pytest.raises(SystemExit) as err:
             main(["points", "--n", "2", "--k", "2", "--q", "2", "--unsigned"])
@@ -384,41 +448,11 @@ class TestVerifyCommand:
 
 
 def json_dumps_text(payload):
-    """The text ``_json_text`` must write: the standard library's, indent 2, keys sorted."""
+    """The text a JSON report must hold: the standard library's, indent 2, keys sorted."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-# strings json escapes or writes as \u escapes, next to whatever hypothesis draws
-json_strings = st.one_of(st.text(), st.sampled_from(
-    ['"', "\\", "\x00", "\x1f", "\n\t\r", "\x7f", "é", "\u2028", "\ud800", "😀", "a\"b\\c"]))
-json_leaves = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**80).map(lambda v: -v),
-    st.integers(2**64, 2**200), st.floats(), json_strings)
-json_trees = st.recursive(
-    json_leaves,
-    lambda children: st.one_of(st.lists(children), st.lists(children).map(tuple),
-                               st.lists(st.integers()), st.dictionaries(json_strings, children)),
-    max_leaves=40)
-
-
 class TestJsonText:
-    @given(st.dictionaries(json_strings, json_trees))
-    @settings(max_examples=400, deadline=None)
-    def test_matches_json_dumps(self, payload):
-        assert cli._json_text(payload) == json_dumps_text(payload)
-
-    def test_edge_shapes(self):
-        for payload in [{}, {"a": []}, {"a": {}}, {"a": ()}, {"a": [True, 1]},
-                        {"a": [[], {}, [[]]]}, {"b": [1, 2.0]}, {"a": float("nan")},
-                        {"a": [float("inf"), -float("inf")]}, {"a": (1, (2, 3))}]:
-            assert cli._json_text(payload) == json_dumps_text(payload), payload
-
-    @pytest.mark.parametrize("n", range(2, 8))
-    def test_every_decompose_report(self, n):
-        for k in range(2, n + 1):
-            payload = decompose(n, k).to_json_dict()
-            assert cli._json_text(payload) == json_dumps_text(payload), (n, k)
-
     @pytest.mark.parametrize("n", range(2, 10))
     def test_decompose_text_of_every_report(self, n):
         for k in range(2, n + 1):
@@ -442,17 +476,45 @@ class TestJsonText:
     ], ids=" ".join)
     def test_command_reports(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        payloads = []
-        write = cli._json_text
-
-        def recording(payload):
-            payloads.append(payload)
-            return write(payload)
-
-        monkeypatch.setattr(cli, "_json_text", recording)
         assert main(argv) == 0
-        assert len(payloads) == 1
-        assert (tmp_path / argv[-1]).read_text() == json_dumps_text(payloads[0])
+        text = (tmp_path / argv[-1]).read_text()
+        assert text == json_dumps_text(json.loads(text))
+
+
+def package_env():
+    """The environment with this checkout's package first on the import path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["fractal", "--k", "4", "--ell", "3"],
+                                  ["points", "--n", "2", "--k", "2", "--q", "2"],
+                                  ["verify", "--suite", "fractal"]], ids=" ".join)
+def test_closed_stdout_is_a_failure(argv, buffered):
+    # the pipe's read end is closed before the command starts, so every write fails;
+    # buffered, what is left in the buffer must not fail again at exit
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "isofractal.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+
+
+def test_device_output_is_written_in_place():
+    # /dev/stdout on a pipe resolves to no file that a rename could replace
+    done = subprocess.run([sys.executable, "-m", "isofractal.cli", *FRACTAL_3_2, "/dev/stdout"],
+                          capture_output=True, text=True, env=package_env(), timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == serialize(fractal.fractal_matrix(3, 2), "ascii")
 
 
 # each schema's command, less the path its output is written to, which comes last

@@ -404,7 +404,7 @@ class TestDecompose:
 
     def test_report_bytes_pinned(self):
         for (n, k), digest in REPORT_SHA256.items():
-            text = cli._json_text(decompose(n, k).to_json_dict())
+            text = cli._decompose_text(decompose(n, k))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, k)
 
     def test_kernel_dimension_bookkeeping(self):
